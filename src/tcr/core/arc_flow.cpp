@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "tcr/graph/symmetry.hpp"
 #include "tcr/lp/maxflow.hpp"
 #include "tcr/obs/registry.hpp"
+#include "tcr/routing/general.hpp"
 #include "tcr/trace/tracer.hpp"
 #include "tcr/util/check.hpp"
 
@@ -346,18 +346,7 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("rows", model_.num_rows());
     t.attr("cols", model_.num_cols());
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
-    const lp::CrashHints* crash = opts.flow_crash ? &flow_crash_hints() : nullptr;
-    if (warm != nullptr && !warm->empty() && locality_row_ >= 0) {
-      // The only row a sweep edits between solves is the locality bound;
-      // annotating it lets the warm-start logic target that row: the dual
-      // phase reprices it directly instead of rediscovering the moved
-      // constraint via a cold repair.
-      lp::Basis hinted = *warm;
-      hinted.edited_rows.assign(1, locality_row_);
-      sol = lp::solve(model_, opts, &hinted, crash);
-    } else {
-      sol = lp::solve(model_, opts, warm, crash);
-    }
+    sol = lp::solve(model_, opts, warm, &flow_crash_hints());
     t.attr("status", lp::to_string(sol.status));
     t.attr("warm_start", sol.warm_start);
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));
@@ -393,64 +382,19 @@ TorusRouting SymmetricArcDesign::routing(const std::string& name) const {
   obs::ScopedTimer t(DesignMetrics::get().t_decompose);
   const int n = torus_.num_nodes(), nc = torus_.num_channels();
   TorusRouting r(torus_, name);
+  // The torus digraph keeps the channel ids and each node's out-channel
+  // order, so the flows index it directly and the paths match a walk of the
+  // torus itself.
+  const Digraph g = torus_.graph();
   for (int e = 1; e < n; ++e) {
     std::vector<double> flow(solution_flows_.begin() + (e - 1) * nc,
                              solution_flows_.begin() + e * nc);
-    for (auto& wp : decompose_flow(torus_, e, std::move(flow))) {
+    for (auto& wp : decompose_flow(g, 0, e, std::move(flow))) {
       r.add_path(e, std::move(wp.path), wp.weight);
     }
   }
   r.normalize();
   return r;
-}
-
-std::vector<WeightedPath> decompose_flow(const Torus& torus, int e, std::vector<double> flow,
-                                         double eps) {
-  TCR_REQUIRE(e != 0, "offset must be nonzero");
-  std::vector<WeightedPath> out;
-  const int n = torus.num_nodes();
-  std::vector<int> pred(static_cast<std::size_t>(n));
-
-  for (;;) {
-    // BFS from 0 to e along channels with remaining flow.
-    std::fill(pred.begin(), pred.end(), -1);
-    std::queue<int> q;
-    q.push(0);
-    pred[0] = -2;
-    while (!q.empty() && pred[e] == -1) {
-      const int nd = q.front();
-      q.pop();
-      for (int dir = 0; dir < kNumDirs; ++dir) {
-        const int c = torus.channel(nd, static_cast<Dir>(dir));
-        if (flow[c] <= eps) continue;
-        const int to = torus.channel_dst(c);
-        if (pred[to] == -1) {
-          pred[to] = c;
-          q.push(to);
-        }
-      }
-    }
-    if (pred[e] == -1) break;
-
-    // Recover the path and the bottleneck flow.
-    std::vector<int> channels;
-    double delta = lp::kInf;
-    for (int nd = e; nd != 0;) {
-      const int c = pred[nd];
-      channels.push_back(c);
-      delta = std::min(delta, flow[c]);
-      nd = torus.channel_src(c);
-    }
-    std::reverse(channels.begin(), channels.end());
-    for (int c : channels) flow[c] -= delta;
-
-    Path p;
-    p.src = 0;
-    p.dst = e;
-    p.channels = std::move(channels);
-    out.push_back({std::move(p), delta});
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------

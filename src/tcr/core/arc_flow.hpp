@@ -109,7 +109,7 @@ class SymmetricArcDesign {
   /// columns of the side blocks are nominated for one row each. The hints
   /// depend only on the constraint structure, never on right-hand sides, so
   /// they are computed once and cached. solve() passes them to lp::solve
-  /// automatically when opts.flow_crash is set (the default).
+  /// on every call (they only matter when no warm basis is adopted).
   const lp::CrashHints& flow_crash_hints();
 
   /// Decomposed routing from the last successful solve.
@@ -159,12 +159,6 @@ class SymmetricArcDesign {
   lp::CrashHints crash_hints_;
   bool crash_hints_built_ = false;
 };
-
-/// Decompose one commodity's channel flows into weighted 0->e paths
-/// (cycle flow, if any, is discarded; path weights sum to the injected
-/// unit). `flow[c]` is destroyed in the process.
-std::vector<WeightedPath> decompose_flow(const Torus& torus, int e, std::vector<double> flow,
-                                         double eps = 1e-9);
 
 // ---- General (unreduced) formulations for arbitrary digraphs ----------
 

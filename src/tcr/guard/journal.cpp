@@ -20,7 +20,6 @@ namespace {
 constexpr const char* kMagic = kJournalMagic;
 constexpr std::size_t kMagicSize = kJournalMagicSize;
 constexpr std::size_t kHeaderSize = kJournalHeaderSize;
-constexpr std::uint32_t kMaxRecordSize = kJournalMaxRecordSize;
 
 std::uint32_t load_u32le(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -55,43 +54,56 @@ Scan scan_journal(const std::string& path) {
     out.error = "I/O error reading journal '" + path + "'";
     return scan;
   }
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
   if (data.size() < kMagicSize || std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
     out.error = "'" + path + "' is not a tcr journal (bad magic at offset 0)";
     return scan;
   }
-  std::size_t pos = kMagicSize;
-  while (pos < data.size()) {
-    if (data.size() - pos < kHeaderSize) break;  // torn header => tail
-    const std::uint32_t len = load_u32le(bytes + pos);
-    const std::uint32_t crc = load_u32le(bytes + pos + 4);
-    if (len > kMaxRecordSize) {
-      out.error = "journal '" + path + "': implausible record length " +
-                  std::to_string(len) + " at offset " + std::to_string(pos);
-      return scan;
-    }
-    if (data.size() - pos - kHeaderSize < len) break;  // torn payload => tail
-    const char* payload = data.data() + pos + kHeaderSize;
-    if (crc32(payload, len) != crc) {
-      // A CRC mismatch on the final record is a torn write (kill landed
-      // mid-payload after the length happened to be fully written); anywhere
-      // else it means the middle of the file changed under us.
-      if (pos + kHeaderSize + len == data.size()) break;
-      out.error = "journal '" + path + "': CRC mismatch at offset " +
-                  std::to_string(pos) + " (record " +
-                  std::to_string(out.records.size()) + ")";
-      return scan;
-    }
-    out.records.emplace_back(payload, len);
-    pos += kHeaderSize + len;
+  const FrameScan frames = decode_frames(std::string_view(data).substr(kMagicSize), kMagicSize,
+                                         [&](std::string_view payload) {
+                                           out.records.emplace_back(payload);
+                                           return true;
+                                         });
+  if (!frames.error.empty()) {
+    out.error = "journal '" + path + "': " + frames.error + " (record " +
+                std::to_string(out.records.size()) + ")";
+    return scan;
   }
-  out.truncated_tail = pos < data.size();
-  scan.valid_bytes = pos;
+  scan.valid_bytes = kMagicSize + frames.consumed;
+  out.truncated_tail = scan.valid_bytes < data.size();
   out.ok = true;
   return scan;
 }
 
 }  // namespace
+
+FrameScan decode_frames(std::string_view bytes, std::size_t base_offset,
+                        const std::function<bool(std::string_view)>& on_record) {
+  FrameScan scan;
+  std::size_t& pos = scan.consumed;
+  while (bytes.size() - pos >= kHeaderSize) {
+    const auto* header = reinterpret_cast<const unsigned char*>(bytes.data() + pos);
+    const std::uint32_t len = load_u32le(header);
+    const std::uint32_t crc = load_u32le(header + 4);
+    if (len > kJournalMaxRecordSize) {
+      scan.error = "implausible record length " + std::to_string(len) + " at offset " +
+                   std::to_string(base_offset + pos);
+      break;
+    }
+    if (bytes.size() - pos - kHeaderSize < len) break;  // torn or in-flight payload
+    const std::string_view payload = bytes.substr(pos + kHeaderSize, len);
+    if (crc32(payload.data(), len) != crc) {
+      // A CRC mismatch on the final frame is a torn write (a kill landed
+      // mid-payload after the length happened to be fully written); with
+      // bytes after it, the middle of the file changed under us.
+      if (pos + kHeaderSize + len == bytes.size()) break;
+      scan.error = "CRC mismatch at offset " + std::to_string(base_offset + pos);
+      break;
+    }
+    if (!on_record(payload)) break;
+    pos += kHeaderSize + len;
+  }
+  return scan;
+}
 
 std::uint32_t crc32(const void* data, std::size_t size) noexcept {
   static const std::array<std::uint32_t, 256> table = [] {

@@ -24,8 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tcr::guard {
@@ -41,6 +43,25 @@ inline constexpr std::size_t kJournalHeaderSize = 8;  // u32 length + u32 crc
 /// Records hold sweep points or heartbeat JSON (a few KB each); a length
 /// beyond this is not a record, it is garbage read as a length.
 inline constexpr std::uint32_t kJournalMaxRecordSize = 1u << 30;
+
+/// Where decode_frames() stopped.
+struct FrameScan {
+  std::size_t consumed = 0;  ///< bytes of complete, CRC-valid frames decoded
+  std::string error;  ///< hard corruption with its file offset; empty otherwise
+};
+
+/// The one decoder of journal frames, shared by read_journal() and
+/// incremental readers of the same format (telemetry::StreamReader).
+/// Decodes the frames in `bytes` — file contents after the magic — in order
+/// and hands each payload to `on_record`, stopping early when it returns
+/// false. Stops cleanly at the first incomplete frame: a short header or
+/// payload, or a CRC mismatch on the frame that ends `bytes` (an append in
+/// flight, or a write torn by a kill); that frame stays unconsumed. A
+/// length above kJournalMaxRecordSize, or a CRC mismatch with bytes after
+/// the frame, is hard corruption: `error` names it with its file offset,
+/// `base_offset` plus its position in `bytes`.
+FrameScan decode_frames(std::string_view bytes, std::size_t base_offset,
+                        const std::function<bool(std::string_view)>& on_record);
 
 /// Everything read back from a journal file.
 struct JournalContents {

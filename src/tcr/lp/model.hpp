@@ -80,13 +80,6 @@ struct Basis {
   std::vector<std::uint8_t> stat;
   /// Basic column per row (size = number of rows).
   std::vector<int> basic;
-  /// Optional caller hint: rows whose rhs/bounds were edited after this
-  /// basis was exported (a parametric sweep knows exactly which constraint
-  /// it moved). The warm-start repair tries these rows' slack/artificial
-  /// columns first when the basis comes back primal-infeasible, which turns
-  /// the repair into a single targeted pivot instead of a search. Solvers
-  /// export this empty; out-of-range entries are ignored.
-  std::vector<int> edited_rows;
 
   bool empty() const { return basic.empty(); }
 };
@@ -116,9 +109,9 @@ struct Solution {
   std::vector<double> reduced;  // reduced costs of structural variables
   long iterations = 0;          // simplex iterations of the returned attempt
   long phase1_iterations = 0;
-  /// Iterations spent in the dual simplex phase (SimplexOptions::dual): a
-  /// warm basis left dual-feasible but primal-infeasible by an rhs edit is
-  /// driven back to optimality by dual pivots instead of reentry + phase 1.
+  /// Iterations spent in the dual simplex phase: a warm basis left
+  /// dual-feasible but primal-infeasible by an rhs edit is driven back to
+  /// optimality by dual pivots instead of reentry + phase 1.
   /// 0 when the dual phase did not run. Included in `iterations`.
   long dual_iterations = 0;
   /// Human-readable diagnosis of why a non-optimal solve stopped (e.g.

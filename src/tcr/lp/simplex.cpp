@@ -25,6 +25,15 @@ namespace tcr::lp {
 
 namespace {
 
+// Certification tolerances are the solver tolerances times this factor (the
+// checker measures a different norm than the solver controls, so it needs
+// headroom; 10x is conservative but still catches real breakage).
+constexpr double kCertifyTolFactor = 10.0;
+
+// The dense recovery stage only runs when rows + cols <= this (it is
+// O(m^2 n) per iteration; beyond this it would dominate the solve time).
+constexpr int kDenseFallbackMaxDim = 600;
+
 // Registry metrics of the solver, resolved once per process; the returned
 // references stay valid forever so the hot loop never touches the registry.
 struct SimplexMetrics {
@@ -147,10 +156,7 @@ class RevisedSimplex {
         n_(sf_.ntotal),
         a_(sf_.m, sf_.ntotal, sf_.triplets),
         rng_(opt.seed) {
-    stat_ = sf_.stat0;
-    basic_ = sf_.basis0;
-    pos_of_col_.assign(n_, -1);
-    for (int i = 0; i < m_; ++i) pos_of_col_[basic_[i]] = i;
+    restore_crash_basis();
     max_iters_ = opt_.max_iterations > 0 ? opt_.max_iterations
                                          : 200L * (m_ + n_) + 10000L;
   }
@@ -161,7 +167,11 @@ class RevisedSimplex {
     trace::Span span("lp.solve", met_.t_total);
     span.attr("m", m_);
     span.attr("n", n_);
-    Solution sol = run_impl();
+    met_.solves.add(1);
+    Solution sol;
+    sol.status = run_phases(sol);
+    if (sol.status == Status::Optimal) extract(sol);
+    finish(sol);
     span.attr("status", to_string(sol.status));
     span.attr("iterations", sol.iterations);
     span.attr("warm_start", sol.warm_start);
@@ -170,20 +180,18 @@ class RevisedSimplex {
   }
 
  private:
-  Solution run_impl() {
-    met_.solves.add(1);
-    Solution sol;
+  // Adopt a starting basis, then run the dual phase or phase 1 as the basis
+  // requires, then phase 2. Fills the per-phase iteration counts of `sol`
+  // and returns the final status.
+  Status run_phases(Solution& sol) {
     if (opt_.cancel != nullptr && opt_.cancel->check()) {
       // A fired token means a whole-run stop: refuse the solve outright so
       // sweeps and the recovery ladder unwind without touching the basis.
-      sol.status = Status::Cancelled;
-      finish(sol);
-      return sol;
+      return Status::Cancelled;
     }
     WarmAdopt warm = WarmAdopt::kRejected;
     if (warm_ != nullptr && !warm_->empty()) warm = apply_warm(*warm_);
-    if (warm == WarmAdopt::kRejected && opt_.flow_crash && crash_ != nullptr &&
-        !crash_->empty()) {
+    if (warm == WarmAdopt::kRejected && crash_ != nullptr && !crash_->empty()) {
       // Cold start with combinatorial crash hints: synthesize a basis from
       // them and push it through the same adoption machinery as a warm basis
       // (separate lp.crash.* accounting; never routed to the dual phase).
@@ -194,11 +202,7 @@ class RevisedSimplex {
         adopting_crash_ = false;
       }
     }
-    if (warm == WarmAdopt::kRejected && !refactorize()) {
-      sol.status = Status::Numerical;
-      finish(sol);
-      return sol;
-    }
+    if (warm == WarmAdopt::kRejected && !refactorize()) return Status::Numerical;
 
     // ---- dual simplex phase ----
     // A warm basis that survived adoption dual-feasible but whose point an
@@ -210,38 +214,30 @@ class RevisedSimplex {
     bool dual_done = false;
     if (warm == WarmAdopt::kDual) {
       met_.dual_solves.add(1);
-      for (int j = 0; j < n_; ++j)
-        if (sf_.artificial[j]) sf_.up[j] = 0.0;
+      pin_artificials(0.0);
       // The MCF models are massively dual degenerate: swaths of nonbasic
       // columns sit at reduced cost zero, so unperturbed dual ratio tests
       // collapse into zero-length pivots and the phase stalls. Run the dual
       // pivots on the same deterministic tiny perturbation phase 2 uses —
       // the entering ratios become decisive — and let the clean true-cost
       // primal pass below absorb the O(1e-9) dual wobble it introduces.
-      std::vector<double> dcost = sf_.cost;
-      if (opt_.perturb) {
-        for (int j = 0; j < n_; ++j) {
-          if (!std::isfinite(sf_.lo[j]) && !std::isfinite(sf_.up[j])) continue;
-          dcost[j] += 1e-9 * (1.0 + std::abs(dcost[j])) * (0.5 + rng_.uniform());
-        }
-      }
       Status sd;
+      dual_start_ = iters_;
       {
         trace::Span t("lp.dual", met_.t_dual);
-        sd = optimize_dual(dcost);
+        sd = optimize_dual(opt_.perturb ? perturbed_cost() : sf_.cost);
+        // An iteration-limit stop counts the iteration that hit the cap in
+        // `iterations` only.
+        sol.dual_iterations = std::min(iters_, max_iters_) - dual_start_;
         t.attr("status", to_string(sd));
-        t.attr("iterations", dual_iters_);
+        t.attr("iterations", sol.dual_iterations);
       }
-      sol.dual_iterations = dual_iters_;
-      met_.dual_iterations.add(dual_iters_);
+      met_.dual_iterations.add(sol.dual_iterations);
       if (sd == Status::Cancelled || sd == Status::IterationLimit) {
         // The whole-run budget fired mid-phase: the warm basis was genuinely
         // used, so its staged adoption outcome stands.
         commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
-        sol.status = sd;
-        sol.iterations = iters_;
-        finish(sol);
-        return sol;
+        return sd;
       }
       if (sd == Status::Optimal) {
         met_.dual_reoptimized.add(1);
@@ -255,15 +251,9 @@ class RevisedSimplex {
         met_.dual_fallbacks.add(1);
         commit_adoption(kOutcomeRejected);
         warm = WarmAdopt::kRejected;
-        for (int j = 0; j < n_; ++j)
-          if (sf_.artificial[j]) sf_.up[j] = kInf;
+        pin_artificials(kInf);
         restore_crash_basis();
-        if (!refactorize()) {
-          sol.status = Status::Numerical;
-          sol.iterations = iters_;
-          finish(sol);
-          return sol;
-        }
+        if (!refactorize()) return Status::Numerical;
       }
     }
 
@@ -285,60 +275,44 @@ class RevisedSimplex {
         }
         sol.phase1_iterations = iters_;
         met_.phase1_iterations.add(iters_);
-        if (s1 != Status::Optimal) {
-          sol.status = (s1 == Status::Unbounded) ? Status::Numerical : s1;
-          sol.iterations = iters_;
-          finish(sol);
-          return sol;
-        }
+        if (s1 != Status::Optimal) return s1 == Status::Unbounded ? Status::Numerical : s1;
         phase1_residual_ = objective_of(sf_.cost1);
-        if (phase1_residual_ > 10 * opt_.feas_tol * (1 + m_ * 0.01)) {
-          sol.status = Status::Infeasible;
-          sol.iterations = iters_;
-          finish(sol);
-          return sol;
-        }
+        if (phase1_residual_ > 10 * opt_.feas_tol * (1 + m_ * 0.01)) return Status::Infeasible;
       }
     }
 
     // Phase 2: pin artificials at zero.
+    pin_artificials(0.0);
+    trace::Span t("lp.phase2", met_.t_phase2);
+    // After a successful dual phase the basis is already primal-feasible and
+    // dual-feasible to tolerance; a single clean pass confirms optimality.
+    // The anti-degeneracy perturbation would only pivot away from the
+    // answer and back.
+    if (!opt_.perturb || dual_done) return optimize(sf_.cost, false);
+    // Deterministic tiny perturbation breaks massive dual degeneracy in the
+    // MCF models; a clean pass with the true costs follows.
+    const Status s2 = optimize(perturbed_cost(), false);
+    return s2 == Status::Optimal ? optimize(sf_.cost, false) : s2;
+  }
+
+  // Upper bound of every artificial column: 0 pins them out of the problem
+  // (phase 2 and the dual phase), kInf restores the phase-1 framework.
+  void pin_artificials(double up) {
     for (int j = 0; j < n_; ++j)
-      if (sf_.artificial[j]) sf_.up[j] = 0.0;
+      if (sf_.artificial[j]) sf_.up[j] = up;
+  }
 
-    Status s2;
-    {
-      trace::Span t("lp.phase2", met_.t_phase2);
-      // After a successful dual phase the basis is already primal-feasible
-      // and dual-feasible to tolerance; a single clean pass confirms
-      // optimality. The anti-degeneracy perturbation would only pivot away
-      // from the answer and back.
-      if (opt_.perturb && !dual_done) {
-        // Deterministic tiny perturbation breaks massive dual degeneracy in
-        // the MCF models; a clean pass with the true costs follows.
-        std::vector<double> pcost = sf_.cost;
-        for (int j = 0; j < n_; ++j) {
-          // Free variables stay unperturbed: their null directions (e.g. a
-          // constant shift of dual potentials) would make the perturbed
-          // problem unbounded.
-          if (!std::isfinite(sf_.lo[j]) && !std::isfinite(sf_.up[j])) continue;
-          pcost[j] += 1e-9 * (1.0 + std::abs(pcost[j])) * (0.5 + rng_.uniform());
-        }
-        s2 = optimize(pcost, /*phase1=*/false);
-        if (s2 == Status::Optimal) s2 = optimize(sf_.cost, false);
-      } else {
-        s2 = optimize(sf_.cost, false);
-      }
+  // The true costs plus the deterministic 1e-9 anti-degeneracy perturbation
+  // shared by phase 2 and the dual phase. Free variables stay unperturbed:
+  // their null directions (e.g. a constant shift of dual potentials) would
+  // make the perturbed problem unbounded.
+  std::vector<double> perturbed_cost() {
+    std::vector<double> cost = sf_.cost;
+    for (int j = 0; j < n_; ++j) {
+      if (!std::isfinite(sf_.lo[j]) && !std::isfinite(sf_.up[j])) continue;
+      cost[j] += 1e-9 * (1.0 + std::abs(cost[j])) * (0.5 + rng_.uniform());
     }
-
-    sol.iterations = iters_;
-    sol.status = s2;
-    if (s2 != Status::Optimal) {
-      finish(sol);
-      return sol;
-    }
-    extract(sol);
-    finish(sol);
-    return sol;
+    return cost;
   }
 
  private:
@@ -349,6 +323,7 @@ class RevisedSimplex {
   void finish(Solution& sol) {
     charge_pending_iterations();
     met_.iterations.add(iters_);
+    sol.iterations = iters_;
     sol.basis.stat.assign(stat_.begin(), stat_.end());
     sol.basis.basic = basic_;
     sol.warm_start = warm_outcome_;
@@ -459,9 +434,8 @@ class RevisedSimplex {
   // absorbs mildly wrong signs by taking their slightly negative ratio
   // first, and the final clean primal pass re-checks optimality exactly.
   bool dual_feasible() {
-    std::vector<double> cb(static_cast<std::size_t>(m_)), y;
-    for (int i = 0; i < m_; ++i) cb[i] = sf_.cost[basic_[i]];
-    btran(std::move(cb), y);
+    std::vector<double> y;
+    basic_duals(sf_.cost, y);
     const double tol = 10.0 * opt_.opt_tol;
     for (int j = 0; j < n_; ++j) {
       if (stat_[j] == kBasic || sf_.artificial[j] || sf_.lo[j] == sf_.up[j]) continue;
@@ -579,12 +553,7 @@ class RevisedSimplex {
     auto patch_to_crash = [&](int i) {
       const int crash = sf_.basis0[i];
       if (basic_[i] == crash || pos_of_col_[crash] != -1) return false;
-      const int out = basic_[i];
-      stat_[out] = default_nonbasic(out);
-      pos_of_col_[out] = -1;
-      basic_[i] = crash;
-      stat_[crash] = kBasic;
-      pos_of_col_[crash] = i;
+      swap_basis(i, crash, default_nonbasic(basic_[i]));
       return true;
     };
 
@@ -602,21 +571,6 @@ class RevisedSimplex {
         restore_crash_basis();
         commit_adoption(kOutcomeRejected);
         return WarmAdopt::kRejected;
-      }
-    }
-
-    // Caller hint: rows whose rhs changed since the basis was exported.
-    // Their aux columns are the first reentry candidates. The list is
-    // bounds-checked (a stale or hand-built basis can carry rows past m_)
-    // and deduplicated in caller order: a sweep that edits the same row
-    // twice must not make reentry_pivot try — and possibly commit — the
-    // same aux column twice.
-    std::vector<int> hint_rows;
-    std::vector<char> hinted_row(static_cast<std::size_t>(m_), 0);
-    for (const int r : warm.edited_rows) {
-      if (r >= 0 && r < m_ && !hinted_row[r]) {
-        hinted_row[r] = 1;
-        hint_rows.push_back(r);
       }
     }
 
@@ -651,12 +605,14 @@ class RevisedSimplex {
         commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
         return WarmAdopt::kFeasible;
       }
-      // Dual screen, once, before any primal repair: a basis the rhs edit
-      // (flagged via edited_rows) left primal-infeasible — out-of-bound
-      // basics or artificial load — but dual-feasible goes to the dual
-      // phase instead of the reentry-pivot + phase-1 ladder. Its adoption
-      // outcome stays staged until the dual verdict is in.
-      if (round == 0 && opt_.dual && !adopting_crash_ && !hint_rows.empty()) {
+      // Dual screen, once, before any primal repair: a warm basis left
+      // primal-infeasible — out-of-bound basics or artificial load — but
+      // dual-feasible (what an rhs edit does to an optimal basis) goes to
+      // the dual phase instead of the reentry-pivot + phase-1 ladder. Its
+      // adoption outcome stays staged until the dual verdict is in. Crash
+      // bases skip the screen: they are built from the constraint structure
+      // alone, with no regard for the costs.
+      if (round == 0 && !adopting_crash_) {
         if (dual_feasible()) {
           pending_patched_ = patched;
           return WarmAdopt::kDual;
@@ -668,7 +624,7 @@ class RevisedSimplex {
         return WarmAdopt::kPhase1;
       }
       patched = true;
-      if (reentry_pivot(bad, hint_rows)) continue;
+      if (reentry_pivot(bad)) continue;
       bool repairable = true;
       for (int i : bad) {
         if (!patch_to_crash(i)) {
@@ -688,19 +644,16 @@ class RevisedSimplex {
   // recomputed basics absorb the whole rhs delta and some land outside
   // their bounds. The cure is a single pivot: re-enter the aux column at
   // the value that returns the most violated basic to its bound, restoring
-  // the rest of the basis values in the same stroke. Candidates come from
-  // two sources, tried in order:
-  //   1. hint_rows — the caller said which rows it edited (Basis::
-  //      edited_rows), so their aux columns are tried directly;
-  //   2. a probe screen — without a hint, btran a few violated positions
-  //      (rows of B^-1) and keep the nonbasic aux columns whose single
-  //      coefficient moves every probe back toward its bound. |rho| alone
-  //      is no signal (an unrelated row can couple strongly to one
-  //      position while pushing another the wrong way), so the curing-sign
-  //      test on all probes is what thins the field.
-  // Returns true after committing a swap and refactorizing; the basis
-  // arrays stay consistent on failure so the caller can fall back.
-  bool reentry_pivot(const std::vector<int>& bad, const std::vector<int>& hint_rows) {
+  // the rest of the basis values in the same stroke. Candidates come from a
+  // probe screen: btran a few violated positions (rows of B^-1) and keep
+  // the nonbasic aux columns whose single coefficient moves every probe
+  // back toward its bound. |rho| alone is no signal (an unrelated row can
+  // couple strongly to one position while pushing another the wrong way),
+  // so the curing-sign test on all probes is what thins the field. This is
+  // also the pivot that adopts most flow-crash bases. Returns true after
+  // committing a swap and refactorizing; the basis arrays stay consistent
+  // on failure so the caller can fall back.
+  bool reentry_pivot(const std::vector<int>& bad) {
     std::vector<double> col(static_cast<std::size_t>(m_)), w;
 
     // Full test for entering column s: raising s from its bound by t moves
@@ -763,46 +716,12 @@ class RevisedSimplex {
       if (sf_.artificial[s] && !sf_.need_phase1 && t_lo > opt_.feas_tol) return -1;
 
       const int out = basic_[leave];
-      stat_[out] = sf_.artificial[out] || leave_below ? kAtLower : kAtUpper;
-      pos_of_col_[out] = -1;
-      basic_[leave] = s;
-      stat_[s] = kBasic;
-      pos_of_col_[s] = leave;
+      swap_basis(leave, s, sf_.artificial[out] || leave_below ? kAtLower : kAtUpper);
       return refactorize() ? 1 : 0;
     };
 
-    // Aux columns have exactly one matrix entry, so a triplet scan yields
-    // each one once with its row. Hinted rows first (slack beats
-    // artificial: entering the slack leaves no phase-1 load).
-    struct Cand {
-      int col, row;
-      double coeff;
-    };
-    if (!hint_rows.empty()) {
-      std::vector<Cand> hinted;
-      for (const auto& t : sf_.triplets) {
-        if (t.col < sf_.nstruct || stat_[t.col] == kBasic) continue;
-        if (sf_.artificial[t.col] && !sf_.need_phase1) continue;
-        for (const int r : hint_rows) {
-          if (t.row == r) {
-            hinted.push_back({t.col, t.row, t.value});
-            break;
-          }
-        }
-      }
-      std::sort(hinted.begin(), hinted.end(), [&](const Cand& x, const Cand& y) {
-        if (sf_.artificial[x.col] != sf_.artificial[y.col]) return !sf_.artificial[x.col];
-        return x.col < y.col;
-      });
-      for (const Cand& c : hinted) {
-        const int r = attempt(c.col);
-        if (r >= 0) return r == 1;
-      }
-    }
-
-    // No hint (or the hinted columns were not a consistent cure): probe a
-    // handful of violated positions, spread across the list. Each btran
-    // yields that row of B^-1, giving every candidate's influence
+    // Probe a handful of violated positions, spread across the list. Each
+    // btran yields that row of B^-1, giving every candidate's influence
     // w[probe] = coeff * rho[row] without an ftran.
     const int nb = static_cast<int>(bad.size());
     const int np = std::min(nb, 8);
@@ -817,6 +736,12 @@ class RevisedSimplex {
       er[i] = 0.0;
     }
 
+    // Aux columns have exactly one matrix entry, so a triplet scan yields
+    // each one once with its row. Slack beats artificial: entering the
+    // slack leaves no phase-1 load.
+    struct Cand {
+      int col, row;
+    };
     std::vector<Cand> cands;
     for (const auto& t : sf_.triplets) {
       if (t.col < sf_.nstruct || stat_[t.col] == kBasic) continue;
@@ -826,7 +751,7 @@ class RevisedSimplex {
         const double wk = t.value * rhos[k][t.row];
         cures = probe_below[k] ? wk < -1e-9 : wk > 1e-9;
       }
-      if (cures) cands.push_back({t.col, t.row, t.value});
+      if (cures) cands.push_back({t.col, t.row});
     }
     std::sort(cands.begin(), cands.end(), [&](const Cand& x, const Cand& y) {
       if (sf_.artificial[x.col] != sf_.artificial[y.col]) return !sf_.artificial[x.col];
@@ -932,6 +857,80 @@ class RevisedSimplex {
     lu_.solve_transpose(c, y);
   }
 
+  // Simplex multipliers y = B^-T c_B of the current basis under `cost`.
+  void basic_duals(const std::vector<double>& cost, std::vector<double>& y) const {
+    std::vector<double> cb(static_cast<std::size_t>(m_));
+    for (int i = 0; i < m_; ++i) cb[i] = cost[basic_[i]];
+    btran(std::move(cb), y);
+  }
+
+  // Column `enter` takes basis position `pos`; the column it displaces
+  // becomes nonbasic with status `out_stat`. Basic values are left to the
+  // caller (a pivot update or a refactorization).
+  void swap_basis(int pos, int enter, VarStatus out_stat) {
+    const int out = basic_[pos];
+    stat_[out] = out_stat;
+    pos_of_col_[out] = -1;
+    basic_[pos] = enter;
+    stat_[enter] = kBasic;
+    pos_of_col_[enter] = pos;
+  }
+
+  // Book the pivot that just entered position `leave` with transformed
+  // column w = B^-1 a_q (both loops). A tiny pivot is a numerical alarm and
+  // refactorizes at once; otherwise its eta joins the file — through the
+  // eta-drift fault hook — and the file is refactorized every
+  // refactor_every pivots. False when a refactorization fails.
+  bool push_eta(int leave, const std::vector<double>& w) {
+    if (std::abs(w[leave]) < 1e-7) return refactorize();
+    Eta eta;
+    eta.pos = leave;
+    eta.pivot = w[leave];
+    if (auto* h = fault::simplex_hooks()) {
+      if (h->eta_drift != 0.0 && fault::SimplexHooks::consume(h->drift_etas)) {
+        h->eta_drifts_injected.fetch_add(1, std::memory_order_relaxed);
+        eta.pivot *= 1.0 + h->eta_drift;
+      }
+    }
+    for (int i = 0; i < m_; ++i) {
+      if (i != leave && w[i] != 0.0) eta.entries.emplace_back(i, w[i]);
+    }
+    etas_.push_back(std::move(eta));
+    return static_cast<int>(etas_.size()) < opt_.refactor_every || refactorize();
+  }
+
+  // A verdict reached on an updated basis (non-empty eta file) — optimal,
+  // unbounded, or a pivot that disagrees with its row — is not trusted:
+  // refactorize and rewind the iteration counter so the loop redoes the
+  // iteration from fresh values. Every optimize call starts on a fresh
+  // factorization, so an empty eta file means the verdict stands. False
+  // when the refactorization fails.
+  bool refactor_and_redo() {
+    if (!refactorize()) return false;
+    --iters_;
+    return true;
+  }
+
+  // Shared iteration prologue of both loops: count the iteration, enforce
+  // the iteration cap and the run-control safepoint, and feed heartbeats.
+  // True with *why set when the loop must stop.
+  bool halted(const std::vector<double>& cost, Status* why) {
+    if (++iters_ > max_iters_) {
+      *why = Status::IterationLimit;
+      return true;
+    }
+    if (cancel_safepoint()) {
+      *why = Status::Cancelled;
+      return true;
+    }
+    // Solver progress for heartbeats, at a coarser cadence than the
+    // safepoint: the objective costs a pass over the basics, so only
+    // compute it when a heartbeat session is live.
+    if (telemetry::enabled() && (iters_ & 255) == 0)
+      telemetry::solver_progress(iters_, objective_of(cost));
+    return false;
+  }
+
   double nonbasic_value(int j) const {
     switch (stat_[j]) {
       case kAtLower: return sf_.lo[j];
@@ -971,12 +970,9 @@ class RevisedSimplex {
   // ---- main loop -------------------------------------------------------
 
   Status optimize(const std::vector<double>& cost, bool phase1) {
-    std::vector<double> cb(static_cast<std::size_t>(m_));
     std::vector<double> y, w, rho;
     std::vector<double> er(static_cast<std::size_t>(m_), 0.0);
     int degenerate_streak = 0;
-    int since_refactor = 0;
-    bool fresh_basis = true;  // no pivots since the last refactorization
     bool bland_active = false;
     // Kernel timing is hoisted: checked once per optimize() call, not per
     // iteration, so an un-instrumented solve pays nothing for the spans.
@@ -1000,27 +996,14 @@ class RevisedSimplex {
     };
 
     for (;;) {
-      if (++iters_ > max_iters_) {
+      if (Status why; halted(cost, &why)) {
         flush_degenerate_run();
-        return Status::IterationLimit;
+        return why;
       }
-
-      // Run-control safepoint (see cancel_safepoint()).
-      if (cancel_safepoint()) {
-        flush_degenerate_run();
-        return Status::Cancelled;
-      }
-
-      // Solver progress for heartbeats, at a coarser cadence than the
-      // safepoint: the objective costs a pass over the basics, so only
-      // compute it when a heartbeat session is live.
-      if (telemetry::enabled() && (iters_ & 255) == 0)
-        telemetry::solver_progress(iters_, objective_of(cost));
 
       {
         obs::ScopedTimer t(met_.t_btran, timed);
-        for (int i = 0; i < m_; ++i) cb[i] = cost[basic_[i]];
-        btran(cb, y);
+        basic_duals(cost, y);
       }
 
       // ---- pricing (DEVEX: maximize d^2 / reference weight) ----
@@ -1078,11 +1061,8 @@ class RevisedSimplex {
 
       if (q < 0) {
         // Confirm optimality against a freshly factorized basis.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
+        if (!etas_.empty()) {
+          if (!refactor_and_redo()) return Status::Numerical;
           continue;
         }
         flush_degenerate_run();
@@ -1120,11 +1100,8 @@ class RevisedSimplex {
       if (!std::isfinite(t_limit)) {
         // Never trust an unbounded verdict from a stale basis: refactorize
         // and re-derive the direction once before reporting.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
+        if (!etas_.empty()) {
+          if (!refactor_and_redo()) return Status::Numerical;
           continue;
         }
         flush_degenerate_run();
@@ -1222,46 +1199,12 @@ class RevisedSimplex {
       // ---- update ----
       const double enter_val = nonbasic_value(q) + dir * t_step;
       for (int i = 0; i < m_; ++i) xb_[i] -= t_step * dir * w[i];
-      const int out = basic_[leave];
-      const double delta_out = dir * w[leave];
-      stat_[out] = (delta_out > 0) ? kAtLower : kAtUpper;
-      basic_[leave] = q;
-      pos_of_col_[out] = -1;
-      pos_of_col_[q] = leave;
-      stat_[q] = kBasic;
+      swap_basis(leave, q, dir * w[leave] > 0 ? kAtLower : kAtUpper);
       xb_[leave] = enter_val;
 
       if (sample_every > 0)
         min_pivot_sampled = std::min(min_pivot_sampled, std::abs(w[leave]));
-
-      // Numerical alarm: tiny pivot in the transformed column.
-      if (std::abs(w[leave]) < 1e-7) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-        continue;
-      }
-      fresh_basis = false;
-
-      Eta eta;
-      eta.pos = leave;
-      eta.pivot = w[leave];
-      if (auto* h = fault::simplex_hooks()) {
-        if (h->eta_drift != 0.0 && fault::SimplexHooks::consume(h->drift_etas)) {
-          h->eta_drifts_injected.fetch_add(1, std::memory_order_relaxed);
-          eta.pivot *= 1.0 + h->eta_drift;
-        }
-      }
-      for (int i = 0; i < m_; ++i) {
-        if (i != leave && w[i] != 0.0) eta.entries.emplace_back(i, w[i]);
-      }
-      etas_.push_back(std::move(eta));
-
-      if (++since_refactor >= opt_.refactor_every) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-      }
+      if (!push_eta(leave, w)) return Status::Numerical;
     }
   }
 
@@ -1273,23 +1216,22 @@ class RevisedSimplex {
   // basic out (DEVEX-style weights per row), btran its unit vector for the
   // pivot row, run the bound-flipping dual ratio test over the nonbasic
   // columns, flip the boxed columns the dual step walks through (batched
-  // into one ftran), and pivot the blocking column in, sharing the eta file
-  // and refactorization cadence with the primal loop. Returns:
+  // into one ftran), and pivot the blocking column in, sharing the eta file,
+  // the refactorization cadence and the verdict rechecks with the primal
+  // loop. Returns:
   //   Optimal        — no basic violates its bound (primal feasible, so the
   //                    still-dual-feasible basis is optimal to tolerance);
   //   Unbounded      — some violated row admits no entering column even
   //                    after flipping everything: the dual is unbounded,
   //                    i.e. the primal is infeasible (caller falls back to
   //                    the primal ladder for the authoritative verdict);
-  //   Numerical      — factorization alarm or pivot stall (caller falls
-  //                    back);
+  //   Numerical      — factorization alarm, pivot stall, or a pivot that
+  //                    disagrees with its row on a fresh factorization
+  //                    (caller falls back);
   //   IterationLimit / Cancelled — shared run-control limits (final).
   Status optimize_dual(const std::vector<double>& cost) {
-    std::vector<double> cb(static_cast<std::size_t>(m_));
     std::vector<double> y, w, rho, flip_sum;
     std::vector<double> er(static_cast<std::size_t>(m_), 0.0);
-    int since_refactor = 0;
-    bool fresh_basis = true;  // no pivots since the last refactorization
     int degenerate_streak = 0;
     const bool timed = obs::Registry::instance().timing_enabled();
     // Dual DEVEX row weights (reference framework = the rows at entry).
@@ -1311,17 +1253,12 @@ class RevisedSimplex {
     std::vector<Cand> cands;
 
     for (;;) {
-      if (++iters_ > max_iters_) return Status::IterationLimit;
-      ++dual_iters_;
-      if (cancel_safepoint()) return Status::Cancelled;
-      if (dual_iters_ > stall_cap) return Status::Numerical;
-      if (telemetry::enabled() && (iters_ & 255) == 0)
-        telemetry::solver_progress(iters_, objective_of(cost));
+      if (Status why; halted(cost, &why)) return why;
+      if (iters_ - dual_start_ > stall_cap) return Status::Numerical;
 
       {
         obs::ScopedTimer t(met_.t_btran, timed);
-        for (int i = 0; i < m_; ++i) cb[i] = cost[basic_[i]];
-        btran(cb, y);
+        basic_duals(cost, y);
       }
 
       // ---- leaving-row pricing (largest weighted bound violation) ----
@@ -1360,12 +1297,8 @@ class RevisedSimplex {
       if (leave < 0) {
         // Primal feasible. Confirm against a freshly factorized basis, as
         // the primal loop does before declaring optimality.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
-          --dual_iters_;
+        if (!etas_.empty()) {
+          if (!refactor_and_redo()) return Status::Numerical;
           continue;
         }
         return Status::Optimal;
@@ -1432,12 +1365,8 @@ class RevisedSimplex {
         // No entering column covers the violation (possibly after flipping
         // every boxed candidate): the dual is unbounded, the primal
         // infeasible. Trust the verdict only from a fresh factorization.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
-          --dual_iters_;
+        if (!etas_.empty()) {
+          if (!refactor_and_redo()) return Status::Numerical;
           continue;
         }
         return Status::Unbounded;
@@ -1476,12 +1405,12 @@ class RevisedSimplex {
         // The btran row and ftran column disagree on the pivot: the eta
         // file has drifted. Refactorize and redo the iteration (committed
         // bound flips stand; the next round reprices from fresh values).
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-        --iters_;
-        --dual_iters_;
-        continue;
+        // On a fresh factorization the disagreement is real trouble.
+        if (!etas_.empty()) {
+          if (!refactor_and_redo()) return Status::Numerical;
+          continue;
+        }
+        return Status::Numerical;
       }
 
       if (std::abs(ec.ratio) <= 1e-10) {
@@ -1509,35 +1438,9 @@ class RevisedSimplex {
       dw_[leave] = std::max(dw_r / piv2, 1.0);
       if (dw_r > 1e7) dw_.assign(static_cast<std::size_t>(m_), 1.0);
 
-      stat_[lj] = below ? kAtLower : kAtUpper;
-      pos_of_col_[lj] = -1;
-      basic_[leave] = q;
-      pos_of_col_[q] = leave;
-      stat_[q] = kBasic;
+      swap_basis(leave, q, below ? kAtLower : kAtUpper);
       xb_[leave] = enter_val;
-
-      // Numerical alarm: tiny pivot in the transformed column.
-      if (std::abs(piv) < 1e-7) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-        continue;
-      }
-      fresh_basis = false;
-
-      Eta eta;
-      eta.pos = leave;
-      eta.pivot = piv;
-      for (int i = 0; i < m_; ++i) {
-        if (i != leave && w[i] != 0.0) eta.entries.emplace_back(i, w[i]);
-      }
-      etas_.push_back(std::move(eta));
-
-      if (++since_refactor >= opt_.refactor_every) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-      }
+      if (!push_eta(leave, w)) return Status::Numerical;
     }
   }
 
@@ -1555,10 +1458,8 @@ class RevisedSimplex {
     for (int j = 0; j < n_; ++j) obj += sf_.cost[j] * x[j];
     sol.objective = sign * obj;
 
-    std::vector<double> cb(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) cb[i] = sf_.cost[basic_[i]];
     std::vector<double> y;
-    btran(cb, y);
+    basic_duals(sf_.cost, y);
     sol.duals.resize(static_cast<std::size_t>(m_));
     for (int i = 0; i < m_; ++i) sol.duals[i] = sign * y[i];
     sol.reduced.resize(static_cast<std::size_t>(sf_.nstruct));
@@ -1584,7 +1485,7 @@ class RevisedSimplex {
   Rng rng_;
   long max_iters_ = 0;
   long iters_ = 0;
-  long dual_iters_ = 0;     // iterations inside optimize_dual()
+  long dual_start_ = 0;     // iters_ when optimize_dual() began
   long charged_iters_ = 0;  // iterations already charged to the cancel token
   bool adopting_crash_ = false;    // apply_warm() is consuming crash hints
   bool adopted_via_crash_ = false; // a crash-hint basis was adopted
@@ -1616,7 +1517,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
   TCR_REQUIRE(model.num_cols() > 0, "model has no variables");
 
   const CertifyOptions cert_opts = CertifyOptions::from_solver_tols(
-      options.feas_tol, options.opt_tol, options.certify_tol_factor);
+      options.feas_tol, options.opt_tol, kCertifyTolFactor);
 
   // Crash hints ride along to every sparse attempt (they only kick in when
   // no warm basis is adopted); the dense fallback stays hint-free — its
@@ -1683,14 +1584,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
                                        &rec.rescued_careful, &rec.rescued_dense};
   const char* names[kNumStages] = {"reseed", "equilibrate", "careful", "dense"};
 
-  const bool stage_enabled[kNumStages] = {options.recover_reseed,
-                                          options.recover_equilibrate,
-                                          options.recover_careful, options.recover_dense};
-
-  int stages_run = 0;
-  for (int stage = 0; stage < kNumStages && stages_run < options.max_recovery_stages;
-       ++stage) {
-    if (!stage_enabled[stage]) continue;
+  for (int stage = 0; stage < kNumStages; ++stage) {
     const std::string stage_span_name = std::string("lp.recovery.") + names[stage];
     trace::Span stage_span(stage_span_name);
     Solution cand;
@@ -1731,7 +1625,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
       case kDense: {
         // Last resort for small models: the dense reference simplex shares
         // no code with the revised solver (explicit inverse, Bland's rule).
-        if (model.num_rows() + model.num_cols() > options.dense_fallback_max_dim) {
+        if (model.num_rows() + model.num_cols() > kDenseFallbackMaxDim) {
           history += "; dense: skipped (model too large)";
           continue;
         }
@@ -1739,7 +1633,6 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
         break;
       }
     }
-    ++stages_run;
     rec.attempts.add(1);
     met.retries.add(1);
     const bool rescued_here = accept(cand);

@@ -7,7 +7,10 @@
 //     a long run of degenerate pivots (anti-cycling);
 //   * two-pass Harris-style ratio test with a feasibility tolerance;
 //   * optional deterministic objective perturbation for heavily degenerate
-//     multicommodity-flow models, removed by a final clean re-optimization.
+//     multicommodity-flow models, removed by a final clean re-optimization;
+//   * a dual simplex phase for warm bases an rhs edit left primal-infeasible
+//     but dual-feasible (parametric sweeps), sharing the eta file and the
+//     refactorization machinery with the primal loop.
 //
 // The paper solved its routing-design LPs with CPLEX; this solver is the
 // from-scratch replacement (see DESIGN.md, substitutions).
@@ -32,43 +35,11 @@ struct SimplexOptions {
   std::uint64_t seed = 0x5eedULL;
   int bland_after = 3000;  // consecutive degenerate pivots before Bland mode
 
-  // ---- dual simplex ----
-  /// Re-optimize a warm basis with the dual simplex when it comes back
-  /// dual-feasible but primal-infeasible — the parametric-sweep case, where
-  /// an rhs edit moves the basic values but leaves every reduced cost
-  /// untouched. The dual phase shares the eta/refactorization machinery with
-  /// the primal loop and falls back to the primal reentry-pivot + phase-1
-  /// ladder when the basis is dual-infeasible or the dual iteration stalls
-  /// (lp.dual.* obs counters). Off: every warm basis takes the primal path.
-  bool dual = true;
-
-  /// Adopt caller-supplied CrashHints (flow-based crash basis) on cold
-  /// solves. Off: hints passed to solve() are ignored and the all-slack
-  /// crash is used. Callers also gate hint *construction* on this flag.
-  bool flow_crash = true;
-
   // ---- certification ----
   /// Run lp::certify() on every Optimal solve and store the result in
   /// Solution::certificate. A failing certificate is treated like a
-  /// numerical breakdown: the recovery ladder below runs.
+  /// numerical breakdown: the recovery ladder runs (see solve()).
   bool certify = true;
-  /// Certification tolerances are the solver tolerances times this factor
-  /// (the checker measures a different norm than the solver controls, so it
-  /// needs headroom; 10x is conservative but still catches real breakage).
-  double certify_tol_factor = 10.0;
-
-  // ---- staged recovery ladder ----
-  /// How many ladder stages may run after the first attempt fails with
-  /// Status::Numerical or a failed certificate (0 disables recovery).
-  /// Stages run in order: reseed, equilibrate, careful, dense.
-  int max_recovery_stages = 4;
-  bool recover_reseed = true;       // new perturbation seed, flipped perturb
-  bool recover_equilibrate = true;  // geometric-mean scaling, solve, unscale
-  bool recover_careful = true;      // tight refactorization + Bland pricing
-  bool recover_dense = true;        // dense reference simplex (small models)
-  /// The dense fallback only runs when rows + cols <= this (it is O(m^2 n)
-  /// per iteration; beyond this it would dominate the solve time).
-  int dense_fallback_max_dim = 600;
 
   // ---- run control ----
   /// Optional cooperative cancellation/budget token (not owned; must
@@ -83,7 +54,9 @@ struct SimplexOptions {
 /// Solve with the sparse revised simplex. On numerical breakdown — or, when
 /// options.certify is set, on an optimal solution whose independent
 /// certificate fails — a staged recovery ladder re-solves with progressively
-/// more conservative settings (see SimplexOptions). The returned Solution
+/// more conservative settings: a new perturbation seed, geometric-mean
+/// equilibration, tight refactorization with Bland pricing, and finally the
+/// dense reference simplex (small models only). The returned Solution
 /// carries the certificate of the accepted attempt; if every stage fails the
 /// first attempt's result is returned with a note recording the ladder.
 ///
@@ -91,18 +64,18 @@ struct SimplexOptions {
 /// Solution::basis of a near-identical model in a sweep). The basis is
 /// validated against the model's standard form: a dimension-mismatched or
 /// inconsistent basis is rejected (cold start), a singular one is repaired
-/// by patching the unpivotable positions back to the crash basis, and a
-/// basis whose point is primal-feasible skips phase 1 entirely, and a basis
-/// that is dual-feasible but primal-infeasible is re-optimized by the dual
-/// simplex when options.dual is set. Every adoption attempt increments
-/// exactly one of the lp.warmstart.{accepted,repaired,rejected} obs counters
-/// (lp.warmstart.attempts counts them all). The reseed/equilibrate/careful
-/// recovery stages restart from the failed attempt's exported basis rather
-/// than from scratch.
+/// by patching the unpivotable positions back to the crash basis, a basis
+/// whose point is primal-feasible skips phase 1 entirely, and a
+/// primal-infeasible basis that passes the dual-feasibility screen — the
+/// rhs-edit sweep case — is re-optimized by the dual simplex. Every adoption
+/// attempt increments exactly one of the lp.warmstart.{accepted,repaired,
+/// rejected} obs counters (lp.warmstart.attempts counts them all). The
+/// reseed/equilibrate/careful recovery stages restart from the failed
+/// attempt's exported basis rather than from scratch.
 ///
 /// `crash` optionally supplies combinatorial crash-basis hints used when no
-/// warm basis is adopted (cold start) and options.flow_crash is set; they go
-/// through the same validation/repair machinery, counted under lp.crash.*.
+/// warm basis is adopted (cold start); they go through the same
+/// validation/repair machinery, counted under lp.crash.*.
 Solution solve(const Model& model, const SimplexOptions& options = {},
                const Basis* warm = nullptr, const CrashHints* crash = nullptr);
 

@@ -1,47 +1,61 @@
 #include "tcr/telemetry/stream.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "tcr/guard/journal.hpp"
 #include "tcr/report/json_reader.hpp"
 
 namespace tcr::telemetry {
 
-namespace {
-
-std::uint32_t load_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
 bool StreamReader::poll(std::vector<obs::Json>* out, std::string* error) {
-  // Pull in whatever the writer appended since the last poll. A missing or
-  // empty file is "nothing yet", not an error — follow mode may start the
-  // reader before the writer.
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      in.seekg(static_cast<std::streamoff>(file_offset_));
-      char chunk[1 << 16];
-      while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-        buf_.append(chunk, static_cast<std::size_t>(in.gcount()));
-        file_offset_ += static_cast<std::uint64_t>(in.gcount());
-      }
-      if (in.bad()) {
-        if (error != nullptr) *error = "I/O error reading '" + path_ + "'";
-        return false;
-      }
-    }
-  }
-
   const auto fail = [&](const std::string& what) {
     if (error != nullptr) *error = what;
     return false;
   };
+
+  // Pull in whatever the writer appended since the last poll. A missing or
+  // empty file is "nothing yet", not an error — follow mode may start the
+  // reader before the writer.
+  restarted_ = false;
+  const int fd = ::open(path_.c_str(), O_RDONLY);
+  if (fd >= 0) {
+    struct stat st {};
+    if (::fstat(fd, &st) == 0) {
+      const auto dev = static_cast<std::uint64_t>(st.st_dev);
+      const auto ino = static_cast<std::uint64_t>(st.st_ino);
+      // A different file under the path, or one shorter than what was
+      // already read: a new run replaced the stream. Start over.
+      if (file_offset_ > 0 && (dev != dev_ || ino != ino_ ||
+                               static_cast<std::uint64_t>(st.st_size) < file_offset_)) {
+        buf_.clear();
+        file_offset_ = 0;
+        opened_ = false;
+        records_read_ = 0;
+        restarted_ = true;
+      }
+      dev_ = dev;
+      ino_ = ino;
+    }
+    char chunk[1 << 16];
+    for (;;) {
+      const ssize_t got =
+          ::pread(fd, chunk, sizeof(chunk), static_cast<off_t>(file_offset_));
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) {
+        ::close(fd);
+        return fail("I/O error reading '" + path_ + "'");
+      }
+      if (got == 0) break;
+      buf_.append(chunk, static_cast<std::size_t>(got));
+      file_offset_ += static_cast<std::uint64_t>(got);
+    }
+    ::close(fd);
+  }
 
   if (!opened_) {
     if (buf_.size() < guard::kJournalMagicSize) {
@@ -55,42 +69,26 @@ bool StreamReader::poll(std::vector<obs::Json>* out, std::string* error) {
     opened_ = true;
   }
 
-  // Offset (in the file) of the first unconsumed byte, for diagnostics.
-  const auto consumed_offset = [&] {
-    return static_cast<std::size_t>(file_offset_) - buf_.size();
-  };
-
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= guard::kJournalHeaderSize) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(buf_.data() + pos);
-    const std::uint32_t len = load_u32le(bytes);
-    const std::uint32_t crc = load_u32le(bytes + 4);
-    if (len > guard::kJournalMaxRecordSize) {
-      return fail("heartbeat stream '" + path_ + "': implausible record length " +
-                  std::to_string(len) + " at offset " +
-                  std::to_string(consumed_offset() + pos));
-    }
-    if (buf_.size() - pos - guard::kJournalHeaderSize < len) break;  // payload in flight
-    const char* payload = buf_.data() + pos + guard::kJournalHeaderSize;
-    if (guard::crc32(payload, len) != crc) {
-      // A CRC mismatch on the final frame is a torn write (the run was
-      // killed mid-append) — leave it as tail. With bytes after it, the
-      // middle of the stream changed under us: hard error.
-      if (pos + guard::kJournalHeaderSize + len == buf_.size()) break;
-      return fail("heartbeat stream '" + path_ + "': CRC mismatch at offset " +
-                  std::to_string(consumed_offset() + pos));
-    }
-    obs::Json rec;
-    std::string parse_error;
-    if (!report::parse_json(std::string_view(payload, len), &rec, &parse_error)) {
-      return fail("heartbeat stream '" + path_ + "': record " +
-                  std::to_string(records_read_) + " is not JSON: " + parse_error);
-    }
-    if (out != nullptr) out->push_back(std::move(rec));
-    ++records_read_;
-    pos += guard::kJournalHeaderSize + len;
+  bool bad_json = false;
+  std::string parse_error;
+  const guard::FrameScan scan = guard::decode_frames(
+      buf_, static_cast<std::size_t>(file_offset_) - buf_.size(),
+      [&](std::string_view payload) {
+        obs::Json rec;
+        if (!report::parse_json(payload, &rec, &parse_error)) {
+          bad_json = true;
+          return false;
+        }
+        if (out != nullptr) out->push_back(std::move(rec));
+        ++records_read_;
+        return true;
+      });
+  if (!scan.error.empty()) return fail("heartbeat stream '" + path_ + "': " + scan.error);
+  if (bad_json) {
+    return fail("heartbeat stream '" + path_ + "': record " + std::to_string(records_read_) +
+                " is not JSON: " + parse_error);
   }
-  buf_.erase(0, pos);
+  buf_.erase(0, scan.consumed);
   pending_tail_ = !buf_.empty();
   return true;
 }

@@ -12,7 +12,14 @@
 // torn final record the journal format guarantees, and `tcr-top` reports
 // "stream truncated (crash?)". Hard errors (bad magic, implausible length,
 // a CRC mismatch with more bytes after it, unparsable JSON payload) mirror
-// guard::read_journal's position-bearing diagnostics.
+// guard::read_journal's position-bearing diagnostics; both decode frames
+// with guard::decode_frames.
+//
+// A new run replaces the stream file (telemetry::start removes and
+// recreates it). poll() notices — the path names a different file, or the
+// file is shorter than what was already read — and restarts from offset 0,
+// flagging restarted() so a consumer can drop what it folded from the old
+// stream.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +39,17 @@ class StreamReader {
   /// not an error, it is "nothing yet". Safe to call repeatedly.
   bool poll(std::vector<obs::Json>* out, std::string* error);
 
+  /// The last poll() found the stream file replaced and restarted from its
+  /// beginning: the records it returned start a new stream.
+  bool restarted() const { return restarted_; }
+
   const std::string& path() const { return path_; }
   /// Magic validated — at least one poll saw a well-formed stream head.
   bool opened() const { return opened_; }
   /// The last poll() left bytes beyond the final complete record (an
   /// append in flight, or a torn tail from a killed writer).
   bool truncated_tail() const { return pending_tail_; }
-  /// Complete records consumed so far.
+  /// Complete records consumed so far from the current stream file.
   std::int64_t records_read() const { return records_read_; }
 
  private:
@@ -47,7 +58,11 @@ class StreamReader {
   std::uint64_t file_offset_ = 0;  // bytes of the file already read into buf_
   bool opened_ = false;
   bool pending_tail_ = false;
+  bool restarted_ = false;
   std::int64_t records_read_ = 0;
+  // Identity (device, inode) of the file read so far; 0/0 before the first
+  // read.
+  std::uint64_t dev_ = 0, ino_ = 0;
 };
 
 }  // namespace tcr::telemetry

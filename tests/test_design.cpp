@@ -13,6 +13,7 @@
 #include "tcr/metrics/loads.hpp"
 #include "tcr/metrics/worst_case.hpp"
 #include "tcr/routing/dor.hpp"
+#include "tcr/routing/general.hpp"
 #include "tcr/traffic/sampler.hpp"
 
 namespace tcr {
@@ -176,7 +177,7 @@ TEST(FlowDecomposition, RecoversPathsAndDiscardsCycles) {
   flow[t.channel(t.node(2, 0), Dir::PY)] += 1.0;
   // ...plus a spurious cycle around row 3.
   for (int x = 0; x < 4; ++x) flow[t.channel(t.node(x, 3), Dir::PX)] += 0.25;
-  const auto paths = decompose_flow(t, e, flow);
+  const auto paths = decompose_flow(t.graph(), 0, e, flow);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_NEAR(paths[0].weight, 1.0, 1e-12);
   EXPECT_EQ(paths[0].path.length(), 3);
@@ -218,7 +219,7 @@ TEST(FlowCrash, HintsAreWellFormedAndCached) {
 }
 
 // Crash hints are an iteration optimization, never a semantic switch: the
-// optimum with flow_crash on and off must match, and the lp.crash.* channel
+// optimum with and without hints must match, and the lp.crash.* channel
 // must balance (attempts == accepted + repaired + rejected) while leaving
 // lp.warmstart.* untouched on cold solves.
 TEST(FlowCrash, ColdSolveMatchesWithAndWithoutHints) {
@@ -230,14 +231,15 @@ TEST(FlowCrash, ColdSolveMatchesWithAndWithoutHints) {
   cfg.objective = DesignObjective::WorstCase;
   cfg.locality_equals = 1.4 * t.mean_min_distance();
   cfg.locality_le = true;
+  SymmetricArcDesign design(t, cfg);
+  const lp::Model& m = design.model();
+  const lp::CrashHints& hints = design.flow_crash_hints();
 
   const std::int64_t warm_before = counter("lp.warmstart.attempts");
   const std::int64_t attempts_before = counter("lp.crash.attempts");
-  SymmetricArcDesign with(t, cfg);
-  lp::SimplexOptions opts;
-  opts.flow_crash = true;
-  const DesignResult on = with.solve(opts);
+  const lp::Solution on = lp::solve(m, {}, nullptr, &hints);
   ASSERT_EQ(on.status, lp::Status::Optimal);
+  EXPECT_TRUE(on.certificate.ok()) << on.certificate.summary();
   EXPECT_EQ(counter("lp.crash.attempts") - attempts_before, 1);
   EXPECT_EQ(counter("lp.crash.attempts"),
             counter("lp.crash.accepted") + counter("lp.crash.repaired") +
@@ -245,10 +247,10 @@ TEST(FlowCrash, ColdSolveMatchesWithAndWithoutHints) {
   EXPECT_EQ(counter("lp.warmstart.attempts"), warm_before)
       << "crash adoption must not leak into the warm-start channel";
 
-  SymmetricArcDesign without(t, cfg);
-  opts.flow_crash = false;
-  const DesignResult off = without.solve(opts);
+  const lp::Solution off = lp::solve(m);
   ASSERT_EQ(off.status, lp::Status::Optimal);
+  EXPECT_EQ(counter("lp.crash.attempts") - attempts_before, 1)
+      << "a solve without hints must not attempt a crash basis";
   EXPECT_NEAR(on.objective, off.objective, 1e-9 * (1 + std::abs(off.objective)));
 }
 
@@ -290,7 +292,7 @@ TEST(FlowDecomposition, SplitsParallelFlows) {
   flow[t.channel(t.node(1, 0), Dir::PY)] = 0.5;
   flow[t.channel(t.node(0, 0), Dir::PY)] = 0.5;
   flow[t.channel(t.node(0, 1), Dir::PX)] = 0.5;
-  const auto paths = decompose_flow(t, e, flow);
+  const auto paths = decompose_flow(t.graph(), 0, e, flow);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_NEAR(paths[0].weight + paths[1].weight, 1.0, 1e-12);
 }

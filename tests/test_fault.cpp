@@ -1,6 +1,7 @@
 // Fault injection (tcr::fault) proving the robustness machinery:
 //  * ULP model perturbation is deterministic and keeps problems solvable;
 //  * each recovery-ladder stage demonstrably rescues a seeded breakdown;
+//  * eta drift injected into the primal and the dual loop ends certified;
 //  * corrupted "optimal" extractions are caught by the certificate and
 //    re-solved;
 //  * simulator link-down faults deadlock the drain, transient global credit
@@ -8,6 +9,7 @@
 // The env-gated stress case at the bottom backs the CI fault-injection job.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -109,32 +111,71 @@ TEST(FaultLadder, ReseedRescuesRefactorFailure) {
   EXPECT_EQ(counter_value("lp.recovery.rescued.reseed"), rescued0 + 1);
 }
 
-TEST(FaultLadder, EquilibrateRescuesWhenReseedDisabled) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;
-  const long rescued0 = counter_value("lp.recovery.rescued.equilibrate");
+// The ladder stages in rescue order, by their counters.
+constexpr int kStages = 4;
+const char* const kRescued[kStages] = {
+    "lp.recovery.rescued.reseed", "lp.recovery.rescued.equilibrate",
+    "lp.recovery.rescued.careful", "lp.recovery.rescued.dense"};
 
-  lp::SimplexOptions opts;
-  opts.recover_reseed = false;
-  const auto sol = lp::solve(textbook(), opts);
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_TRUE(sol.certificate.ok());
-  EXPECT_NEAR(sol.objective, 36.0, 1e-9);
-  EXPECT_EQ(counter_value("lp.recovery.rescued.equilibrate"), rescued0 + 1);
+// Solves textbook() with `budget` injected refactorization failures and
+// returns the index of the one ladder stage that rescued it.
+int rescuing_stage(long budget) {
+  long before[kStages];
+  for (int s = 0; s < kStages; ++s) before[s] = counter_value(kRescued[s]);
+  fault::ScopedSimplexFaults faults;
+  faults.hooks().fail_refactors = budget;
+  const auto sol = lp::solve(textbook());
+  EXPECT_EQ(sol.status, Status::Optimal) << "budget " << budget << ": " << sol.note;
+  EXPECT_TRUE(sol.certificate.ok()) << "budget " << budget;
+  EXPECT_NEAR(sol.objective, 36.0, 1e-9) << "budget " << budget;
+
+  int stage = -1;
+  for (int s = 0; s < kStages; ++s) {
+    const long rescued = counter_value(kRescued[s]) - before[s];
+    EXPECT_LE(rescued, 1) << "budget " << budget;
+    if (rescued == 1) {
+      EXPECT_EQ(stage, -1) << "budget " << budget << ": two stages rescued one solve";
+      stage = s;
+    }
+  }
+  EXPECT_GE(stage, 0) << "budget " << budget << ": no ladder stage rescued the solve";
+  return stage;
 }
 
-TEST(FaultLadder, CarefulRescuesWhenEarlierStagesDisabled) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;
-  const long rescued0 = counter_value("lp.recovery.rescued.careful");
+// The smallest failure budget that the stages before `stage` cannot
+// outlast — the budget that puts all of them out of action — must be
+// rescued by `stage` itself.
+void expect_next_stage_rescues(int stage) {
+  for (long budget = 1; budget <= 16; ++budget) {
+    const int rescuer = rescuing_stage(budget);
+    ASSERT_GE(rescuer, 0) << "budget " << budget;
+    if (rescuer < stage) continue;
+    EXPECT_EQ(rescuer, stage) << "budget " << budget << " rescued by " << kRescued[rescuer];
+    return;
+  }
+  ADD_FAILURE() << "no budget up to 16 got past the stages before " << kRescued[stage];
+}
 
-  lp::SimplexOptions opts;
-  opts.recover_reseed = false;
-  opts.recover_equilibrate = false;
-  const auto sol = lp::solve(textbook(), opts);
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_TRUE(sol.certificate.ok());
-  EXPECT_EQ(counter_value("lp.recovery.rescued.careful"), rescued0 + 1);
+TEST(FaultLadder, EquilibrateRescuesWhenReseedDisabled) { expect_next_stage_rescues(1); }
+
+TEST(FaultLadder, CarefulRescuesWhenEarlierStagesDisabled) { expect_next_stage_rescues(2); }
+
+// A growing budget of injected refactorization failures exhausts the
+// ladder stages in order: the stage that rescues the solve never moves
+// backwards as the budget grows, and every stage — reseed, equilibrate,
+// careful, dense — is the rescuer for some budget.
+TEST(FaultLadder, RescuingStageAdvancesWithFailureBudget) {
+  bool rescued_by[kStages] = {};
+  int last_stage = 0;
+  for (long budget = 1; budget <= 16; ++budget) {
+    const int stage = rescuing_stage(budget);
+    ASSERT_GE(stage, 0) << "budget " << budget;
+    EXPECT_GE(stage, last_stage) << "budget " << budget << " rescued by " << kRescued[stage]
+                                 << " after a smaller budget reached " << kRescued[last_stage];
+    last_stage = stage;
+    rescued_by[stage] = true;
+  }
+  for (int s = 0; s < kStages; ++s) EXPECT_TRUE(rescued_by[s]) << kRescued[s] << " never rescued";
 }
 
 TEST(FaultLadder, DenseRescuesPersistentSparseFailure) {
@@ -156,23 +197,13 @@ TEST(FaultLadder, ExhaustionKeepsFirstAttemptDiagnosis) {
   faults.hooks().fail_refactors = 1'000'000;
   const long exhausted0 = counter_value("lp.recovery.exhausted");
 
-  lp::SimplexOptions opts;
-  opts.recover_dense = false;  // nothing can succeed now
-  const auto sol = lp::solve(textbook(), opts);
+  // 799 rows plus columns: above the dense stage's size cap, so with every
+  // sparse attempt broken nothing can succeed.
+  const auto sol = lp::solve(chain_model(400));
   EXPECT_EQ(sol.status, Status::Numerical);
   EXPECT_NE(sol.note.find("recovery ladder exhausted"), std::string::npos) << sol.note;
   EXPECT_NE(sol.note.find("first attempt"), std::string::npos) << sol.note;
   EXPECT_EQ(counter_value("lp.recovery.exhausted"), exhausted0 + 1);
-}
-
-TEST(FaultLadder, DisabledLadderReturnsBreakdown) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;
-
-  lp::SimplexOptions opts;
-  opts.max_recovery_stages = 0;
-  const auto sol = lp::solve(textbook(), opts);
-  EXPECT_EQ(sol.status, Status::Numerical);
 }
 
 TEST(FaultLadder, CorruptedExtractionCaughtAndResolved) {
@@ -209,6 +240,33 @@ TEST(FaultLadder, EtaDriftEndsCertified) {
   const auto sol = lp::solve(chain_model(120));
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
+  EXPECT_GT(faults.hooks().eta_drifts_injected.load(), 0);
+}
+
+// The dual loop books its pivots through the same eta push as the primal
+// loop, so injected eta drift reaches a dual restart too — and the restart
+// must still end on the certified cold optimum.
+TEST(FaultLadder, EtaDriftInDualPhaseEndsCertified) {
+  Model m = chain_model(120);
+  const auto base = lp::solve(m);
+  ASSERT_EQ(base.status, Status::Optimal);
+  // Tighten every third row: the old optimum is cut off while its basis
+  // stays dual feasible, so the warm solve restarts in the dual phase.
+  for (int i = 0; i < m.num_rows(); i += 3) m.set_rhs(i, 1.4);
+  const auto cold = lp::solve(m);
+  ASSERT_EQ(cold.status, Status::Optimal);
+
+  fault::ScopedSimplexFaults faults;
+  faults.hooks().eta_drift = 1e-4;
+  faults.hooks().drift_etas = 1000;
+  const auto warm = lp::solve(m, {}, &base.basis);
+  ASSERT_EQ(warm.status, Status::Optimal) << warm.note;
+  EXPECT_TRUE(warm.certificate.ok()) << warm.certificate.summary();
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-7 * (1 + std::abs(cold.objective)));
+  ASSERT_GT(warm.dual_iterations, 0);
+  // Every pivot came from the dual loop (the confirming primal pass only
+  // prices), so every injected drift landed in the dual loop's etas.
+  EXPECT_LE(warm.iterations - warm.dual_iterations, 1);
   EXPECT_GT(faults.hooks().eta_drifts_injected.load(), 0);
 }
 

@@ -163,6 +163,65 @@ TEST(TelemetryStream, TailsRecordsAcrossAppends) {
   EXPECT_EQ(reader.records_read(), 3);
 }
 
+// A new run replaces the stream file (telemetry::start removes and
+// recreates it). A reader tailing the old file must restart at the new
+// file's beginning — flagged by restarted() — instead of decoding the new
+// bytes from the old offset (which read mid-record garbage as a length).
+TEST(TelemetryStream, FollowsAReplacedStreamFile) {
+  const std::string path = temp_path("replaced.hb");
+  std::remove(path.c_str());
+  std::string error;
+  const auto beat = [](int seq) {
+    return "{\"kind\":\"heartbeat\",\"seq\":" + std::to_string(seq) + "}";
+  };
+
+  telemetry::StreamReader reader(path);
+  std::vector<obs::Json> out;
+  {
+    guard::JournalWriter writer;
+    ASSERT_TRUE(writer.open(path, &error)) << error;
+    for (int seq = 0; seq < 3; ++seq) ASSERT_TRUE(writer.append(beat(seq)));
+  }
+  ASSERT_TRUE(reader.poll(&out, &error)) << error;
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_FALSE(reader.restarted());
+
+  // Replaced and polled before the new run appends: the file is shorter
+  // than what was read.
+  std::remove(path.c_str());
+  guard::JournalWriter writer;
+  ASSERT_TRUE(writer.open(path, &error)) << error;
+  out.clear();
+  ASSERT_TRUE(reader.poll(&out, &error)) << error;
+  EXPECT_TRUE(reader.restarted());
+  EXPECT_TRUE(out.empty());
+  for (int seq = 100; seq < 106; ++seq) ASSERT_TRUE(writer.append(beat(seq)));
+  ASSERT_TRUE(reader.poll(&out, &error)) << error;
+  EXPECT_FALSE(reader.restarted());
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out[0].find("seq")->as_int(), 100);
+  EXPECT_EQ(reader.records_read(), 6);
+  writer.close();
+
+  // Replaced and not polled until the new file outgrew the old one: the
+  // path names a different file. Renaming the old file away keeps it alive,
+  // so its inode cannot be recycled for the new one.
+  const std::string old_path = temp_path("replaced_old.hb");
+  ASSERT_EQ(std::rename(path.c_str(), old_path.c_str()), 0);
+  {
+    guard::JournalWriter next;
+    ASSERT_TRUE(next.open(path, &error)) << error;
+    for (int seq = 200; seq < 209; ++seq) ASSERT_TRUE(next.append(beat(seq)));
+  }
+  out.clear();
+  ASSERT_TRUE(reader.poll(&out, &error)) << error;
+  EXPECT_TRUE(reader.restarted());
+  ASSERT_EQ(out.size(), 9u);
+  EXPECT_EQ(out[0].find("seq")->as_int(), 200);
+  EXPECT_FALSE(reader.truncated_tail());
+  std::remove(old_path.c_str());
+}
+
 // The torn-tail fuzz (satellite): for EVERY truncation length of a valid
 // stream, the reader must either report the exact record prefix with the
 // tail flagged, or (shorter than the magic) report nothing — never a hard

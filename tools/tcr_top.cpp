@@ -9,7 +9,9 @@
 //
 // Flags:
 //   --follow            keep polling until the stream finishes (a final
-//                       heartbeat arrives) or --max-beats new beats rendered
+//                       heartbeat arrives) or --max-beats new beats rendered;
+//                       a stream file replaced by a new run is followed
+//                       from its start
 //   --interval S        follow-mode poll period in seconds (default 0.5)
 //   --max-beats N       follow mode: exit 0 after rendering N new beats
 //                       (the stream may keep running — used by e2e gates)
@@ -125,6 +127,11 @@ int main(int argc, char** argv) {
   const auto poll_into_state = [&](std::string* error) -> long {
     std::vector<obs::Json> records;
     if (!reader.poll(&records, error)) return -1;
+    if (reader.restarted()) {
+      // A new run replaced the stream file: fold it from scratch.
+      state = telemetry::RunState{};
+      cancel_fired = false;
+    }
     long new_beats = 0;
     for (const obs::Json& rec : records) {
       const std::size_t beats_before = state.beats.size();
