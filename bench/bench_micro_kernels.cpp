@@ -44,7 +44,7 @@ void BM_Hungarian(benchmark::State& state) {
     benchmark::DoNotOptimize(solve_assignment_max(w).value);
   }
 }
-BENCHMARK(BM_Hungarian)->Arg(16)->Arg(64)->Arg(144);
+BENCHMARK(BM_Hungarian)->Arg(16)->Arg(64)->Arg(144)->Arg(256);
 
 void BM_WorstCaseExact(benchmark::State& state) {
   const Torus t(static_cast<int>(state.range(0)));
@@ -66,7 +66,21 @@ void BM_ChannelLoadsDense(benchmark::State& state) {
     benchmark::DoNotOptimize(max_channel_load(val, lambda));
   }
 }
-BENCHMARK(BM_ChannelLoadsDense)->Arg(4)->Arg(8);
+BENCHMARK(BM_ChannelLoadsDense)->Arg(4)->Arg(8)->Arg(16);
+
+// Sparse traffic (four-permutation Birkhoff mixtures): most source rows of
+// each offset plane hold at most one nonzero and take the scalar scatter.
+void BM_ChannelLoadsBirkhoff(benchmark::State& state) {
+  const Torus t(static_cast<int>(state.range(0)));
+  const TorusRouting val = make_valiant(t);
+  val.load_table();
+  Rng rng(2);
+  const auto lambda = birkhoff_sample(rng, t.num_nodes(), 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(max_channel_load(val, lambda));
+  }
+}
+BENCHMARK(BM_ChannelLoadsBirkhoff)->Arg(8)->Arg(16);
 
 void BM_SparseLuFactor(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

@@ -8,7 +8,13 @@
 
 namespace tcr {
 
-AssignmentResult solve_assignment_min(const DenseMatrix& w) {
+namespace {
+
+// Shortest-augmenting-path Hungarian algorithm on the costs sign * w, with
+// sign = -1 solving the max form without a negated copy (negation is exact,
+// so both forms take the same pivots as on an explicitly negated matrix).
+// Returned duals are those of the cost matrix.
+AssignmentResult solve_assignment(const DenseMatrix& w, double sign) {
   TCR_REQUIRE(w.rows() == w.cols(), "assignment requires a square matrix");
   const int n = w.rows();
   AssignmentResult res;
@@ -16,42 +22,53 @@ AssignmentResult solve_assignment_min(const DenseMatrix& w) {
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // 1-indexed arrays; p[j] = row matched to column j (0 = none).
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0), minv(n + 1);
+  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
   std::vector<int> p(n + 1, 0), way(n + 1, 0);
-  std::vector<char> used(n + 1);
+  // The columns of the current search tree, and the free columns in index
+  // order (so the scan breaks ties towards the lowest column) with their
+  // slacks minv, one per free column.
+  std::vector<int> used, free_cols;
+  std::vector<double> minv;
+  used.reserve(n + 1);
+  free_cols.reserve(n);
+  minv.reserve(n);
 
   for (int i = 1; i <= n; ++i) {
     p[0] = i;
     int j0 = 0;
-    std::fill(minv.begin(), minv.end(), kInf);
-    std::fill(used.begin(), used.end(), 0);
+    used.clear();
+    free_cols.resize(n);
+    std::iota(free_cols.begin(), free_cols.end(), 1);
+    minv.assign(n, kInf);
     do {
-      used[j0] = 1;
+      used.push_back(j0);
       const int i0 = p[j0];
+      const double* wrow = w.row(i0 - 1);
+      const double ui0 = u[i0];
       double delta = kInf;
-      int j1 = -1;
-      for (int j = 1; j <= n; ++j) {
-        if (used[j]) continue;
-        const double cur = w(i0 - 1, j - 1) - u[i0] - v[j];
-        if (cur < minv[j]) {
-          minv[j] = cur;
+      int slot = -1;
+      const int nfree = static_cast<int>(free_cols.size());
+      for (int f = 0; f < nfree; ++f) {
+        const int j = free_cols[f];
+        const double cur = sign * wrow[j - 1] - ui0 - v[j];
+        if (cur < minv[f]) {
+          minv[f] = cur;
           way[j] = j0;
         }
-        if (minv[j] < delta) {
-          delta = minv[j];
-          j1 = j;
+        if (minv[f] < delta) {
+          delta = minv[f];
+          slot = f;
         }
       }
-      TCR_ASSERT(j1 >= 0, "augmenting path search failed");
-      for (int j = 0; j <= n; ++j) {
-        if (used[j]) {
-          u[p[j]] += delta;
-          v[j] -= delta;
-        } else {
-          minv[j] -= delta;
-        }
+      TCR_ASSERT(slot >= 0, "augmenting path search failed");
+      for (int j : used) {
+        u[p[j]] += delta;
+        v[j] -= delta;
       }
-      j0 = j1;
+      for (double& m : minv) m -= delta;
+      j0 = free_cols[slot];
+      free_cols.erase(free_cols.begin() + slot);
+      minv.erase(minv.begin() + slot);
     } while (p[j0] != 0);
     do {
       const int j1 = way[j0];
@@ -69,12 +86,12 @@ AssignmentResult solve_assignment_min(const DenseMatrix& w) {
   return res;
 }
 
+}  // namespace
+
+AssignmentResult solve_assignment_min(const DenseMatrix& w) { return solve_assignment(w, 1.0); }
+
 AssignmentResult solve_assignment_max(const DenseMatrix& w) {
-  DenseMatrix neg(w.rows(), w.cols());
-  for (int i = 0; i < w.rows(); ++i)
-    for (int j = 0; j < w.cols(); ++j) neg(i, j) = -w(i, j);
-  AssignmentResult res = solve_assignment_min(neg);
-  res.value = -res.value;
+  AssignmentResult res = solve_assignment(w, -1.0);
   for (auto& d : res.row_dual) d = -d;
   for (auto& d : res.col_dual) d = -d;
   return res;

@@ -66,18 +66,19 @@ TEST(Hungarian, DualCertificate) {
   // Duality: value = sum of potentials and u_i + v_j >= ... (for max form,
   // u_i + v_j >= w_ij after negation bookkeeping). We verify value equality.
   Rng rng(8);
-  const int n = 8;
-  DenseMatrix w(n, n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) w(i, j) = rng.uniform(0, 4);
-  const auto res = solve_assignment_max(w);
-  double dual = 0.0;
-  for (double u : res.row_dual) dual += u;
-  for (double v : res.col_dual) dual += v;
-  EXPECT_NEAR(dual, res.value, 1e-9);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      EXPECT_GE(res.row_dual[i] + res.col_dual[j], w(i, j) - 1e-9);
+  for (int n : {8, 64, 256}) {
+    DenseMatrix w(n, n);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) w(i, j) = rng.uniform(0, 4);
+    const auto res = solve_assignment_max(w);
+    double dual = 0.0;
+    for (double u : res.row_dual) dual += u;
+    for (double v : res.col_dual) dual += v;
+    EXPECT_NEAR(dual, res.value, 1e-9) << "n=" << n;
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j)
+        ASSERT_GE(res.row_dual[i] + res.col_dual[j], w(i, j) - 1e-9) << "n=" << n;
+  }
 }
 
 TEST(Hungarian, IdentityAndPermutationMatrices) {

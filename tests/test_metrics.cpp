@@ -2,10 +2,15 @@
 // (eq. 7 / [11]) and the sampled average case (eq. 9).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tcr/metrics/average_case.hpp"
 #include "tcr/metrics/loads.hpp"
 #include "tcr/metrics/worst_case.hpp"
 #include "tcr/routing/dor.hpp"
+#include "tcr/routing/interpolate.hpp"
+#include "tcr/routing/rlb.hpp"
+#include "tcr/routing/romm.hpp"
 #include "tcr/routing/valiant.hpp"
 #include "tcr/traffic/patterns.hpp"
 #include "tcr/traffic/sampler.hpp"
@@ -27,13 +32,64 @@ TEST(Loads, UniformMatchesDirectComputation) {
 }
 
 TEST(Loads, PermutationOverloadAgreesWithMatrix) {
-  const Torus t(5);
-  const TorusRouting dor = make_dor(t);
-  const auto perm = tornado_permutation(t);
-  const auto g1 = channel_loads(dor, perm);
-  const auto g2 = channel_loads(dor, permutation_matrix(perm));
-  ASSERT_EQ(g1.size(), g2.size());
-  for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_NEAR(g1[i], g2[i], 1e-9);
+  auto agree = [](const TorusRouting& r, const std::vector<int>& perm) {
+    const auto g1 = channel_loads(r, perm);
+    const auto g2 = channel_loads(r, permutation_matrix(perm));
+    ASSERT_EQ(g1.size(), g2.size());
+    for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_NEAR(g1[i], g2[i], 1e-9) << r.name();
+  };
+  const Torus t5(5);
+  agree(make_dor(t5), tornado_permutation(t5));
+  const Torus t6(6);
+  Rng rng(12);
+  const auto perm = rng.permutation(t6.num_nodes());
+  agree(make_valiant(t6), perm);
+  agree(make_ival(t6), perm);
+}
+
+// eq. 2 evaluated literally: gamma_c = sum_{s,d} lambda(s, d) * (expected
+// traversals of c by the translated paths of (s, d)).
+std::vector<double> loads_by_path_enumeration(const TorusRouting& r, const TrafficMatrix& lambda) {
+  const Torus& t = r.torus();
+  std::vector<double> gamma(static_cast<std::size_t>(t.num_channels()), 0.0);
+  for (int s = 0; s < t.num_nodes(); ++s)
+    for (int d = 0; d < t.num_nodes(); ++d) {
+      if (lambda(s, d) == 0.0) continue;
+      for (const WeightedPath& wp : r.paths_for_pair(s, d))
+        for (int c : wp.path.channels) gamma[c] += lambda(s, d) * wp.weight;
+    }
+  return gamma;
+}
+
+TEST(Loads, MatchesPathEnumeration) {
+  for (int k : {3, 4, 5, 6}) {
+    const Torus t(k);
+    const int n = t.num_nodes();
+    std::vector<TorusRouting> routings = {make_dor(t),   make_romm(t),    make_rlb(t),
+                                          make_rlbth(t), make_valiant(t), make_ival(t)};
+    routings.push_back(interpolate(routings[2], routings[4], 0.37));
+    Rng rng(40 + k);
+    // Offset e0 carries no traffic at all (no longer doubly stochastic, which
+    // eq. 2 does not need).
+    TrafficMatrix zero_offset = sinkhorn_sample(rng, n);
+    const int e0 = t.node(1, k - 1);
+    for (int s = 0; s < n; ++s) zero_offset(s, t.translate_node(s, e0)) = 0.0;
+    const std::vector<std::pair<const char*, TrafficMatrix>> patterns = {
+        {"sinkhorn", sinkhorn_sample(rng, n)},
+        {"birkhoff4", birkhoff_sample(rng, n, 4)},
+        {"permutation", permutation_matrix(rng.permutation(n))},
+        {"zero offset", zero_offset}};
+    for (const TorusRouting& r : routings) {
+      for (const auto& [name, lambda] : patterns) {
+        const auto want = loads_by_path_enumeration(r, lambda);
+        const auto got = channel_loads(r, lambda);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t c = 0; c < want.size(); ++c)
+          ASSERT_LE(std::abs(got[c] - want[c]), 1e-12 * std::abs(want[c]))
+              << r.name() << " k=" << k << " " << name << " channel " << c;
+      }
+    }
+  }
 }
 
 TEST(Loads, TotalLoadEqualsTotalHops) {
