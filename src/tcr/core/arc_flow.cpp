@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tcr/core/lexicographic.hpp"
 #include "tcr/graph/symmetry.hpp"
 #include "tcr/lp/maxflow.hpp"
 #include "tcr/obs/registry.hpp"
@@ -54,37 +55,19 @@ SymmetricArcDesign::SymmetricArcDesign(const Torus& torus, SymmetricDesignConfig
   auto& met = DesignMetrics::get();
   {
     obs::ScopedTimer t(met.t_build);
-    build();
+    build_orbits();
+    for (int v = 0; v < num_flow_vars_; ++v) model_.add_col(0.0, lp::kInf, 0.0);
+    add_flow_conservation();
+    switch (config_.objective) {
+      case DesignObjective::WorstCase: add_worst_case_block(); break;
+      case DesignObjective::Uniform: add_uniform_block(); break;
+      case DesignObjective::AverageCase: add_average_block(); break;
+    }
+    if (config_.locality_equals >= 0.0) add_locality_row();
   }
-  met.rows.set(model_.num_rows());
-  met.cols.set(model_.num_cols());
-  met.nnz.set(static_cast<double>(model_.num_terms()));
   met.flow_vars.set(num_flow_vars_);
   met.flow_vars_unfolded.set(static_cast<double>(torus_.num_nodes() - 1) *
                              torus_.num_channels());
-}
-
-void SymmetricArcDesign::build() {
-  const int n = torus_.num_nodes();
-  const bool min_locality = config_.objective == DesignObjective::Locality;
-
-  build_orbits();
-  for (int v = 0; v < num_flow_vars_; ++v) {
-    model_.add_col(0.0, lp::kInf, min_locality ? orbit_size_[v] / n : 0.0);
-  }
-
-  add_flow_conservation();
-
-  const bool want_wc = config_.objective == DesignObjective::WorstCase ||
-                       config_.worst_case_cap >= 0.0;
-  const bool want_uni = config_.objective == DesignObjective::Uniform ||
-                        config_.uniform_cap >= 0.0;
-  const bool want_avg = config_.objective == DesignObjective::AverageCase ||
-                        config_.average_cap >= 0.0;
-  if (want_wc) add_worst_case_block();
-  if (want_uni) add_uniform_block();
-  if (want_avg) add_average_block();
-  if (config_.locality_equals >= 0.0) add_locality_row();
 }
 
 void SymmetricArcDesign::build_orbits() {
@@ -154,31 +137,13 @@ void SymmetricArcDesign::add_flow_conservation() {
 }
 
 void SymmetricArcDesign::add_worst_case_block() {
-  const int n = torus_.num_nodes();
-  const bool is_obj = config_.objective == DesignObjective::WorstCase;
-  const double w_up = config_.worst_case_cap >= 0.0 ? config_.worst_case_cap : lp::kInf;
-  wc_var_ = model_.add_col(0.0, w_up, is_obj ? 1.0 : 0.0);
-
+  obj_col_ = model_.add_col(0.0, lp::kInf, 1.0);
   if (!config_.worst_case_exact_block) {
-    // Cutting-plane relaxation: one row per known adversarial permutation,
-    // gamma_{c0}(R, pi) <= w on the representative channel (+X at node 0;
-    // folding makes the classes equivalent — require it).
+    // Cutting-plane relaxation: add_cut() appends one row per adversarial
+    // permutation on the representative channel; folding makes the
+    // direction classes equivalent — require it.
     TCR_REQUIRE(config_.fold_dihedral,
                 "cut-based worst case requires the dihedral fold (one rep channel)");
-    TCR_REQUIRE(!config_.cut_permutations.empty(),
-                "cut-based worst case needs at least one permutation");
-    const int c0 = torus_.channel(0, Dir::PX);
-    first_cut_row_ = model_.num_rows();
-    for (const auto& perm : config_.cut_permutations) {
-      const int row = model_.add_row(RowType::LE, 0.0);
-      for (int s = 0; s < n; ++s) {
-        const int e = torus_.offset(s, perm[s]);
-        if (e == 0) continue;
-        model_.add_term(row, flow_var(e, torus_.translate_channel(c0, torus_.negate_node(s))),
-                        1.0);
-      }
-      model_.add_term(row, wc_var_, -1.0);
-    }
     return;
   }
 
@@ -187,40 +152,15 @@ void SymmetricArcDesign::add_worst_case_block() {
   const int num_blocks = config_.fold_dihedral ? 1 : kNumDirs;
   for (int dir = 0; dir < num_blocks; ++dir) {
     const int c0 = torus_.channel(0, static_cast<Dir>(dir));
-    std::vector<int> u(n), v(n);
-    // Ground the potentials' constant-shift null direction: u[0] = 0.
-    for (int s = 0; s < n; ++s)
-      u[s] = (s == 0) ? model_.add_col(0.0, 0.0, 0.0) : model_.add_col(-lp::kInf, lp::kInf, 0.0);
-    for (int d = 0; d < n; ++d) v[d] = model_.add_col(-lp::kInf, lp::kInf, 0.0);
-
-    wc_block_row_base_.push_back(model_.num_rows());
-    for (int s = 0; s < n; ++s) {
-      // Channel whose canonical load equals the load of (s, *) on c0.
-      const int ct = torus_.translate_channel(c0, torus_.negate_node(s));
-      for (int d = 0; d < n; ++d) {
-        const int row = model_.add_row(RowType::LE, 0.0);
-        const int e = torus_.offset(s, d);
-        if (e != 0) model_.add_term(row, flow_var(e, ct), 1.0);
-        model_.add_term(row, v[d], -1.0);
-        model_.add_term(row, u[s], 1.0);
-      }
-    }
-    const int sum_row = model_.add_row(RowType::EQ, 0.0);
-    for (int d = 0; d < n; ++d) model_.add_term(sum_row, v[d], 1.0);
-    for (int s = 0; s < n; ++s) model_.add_term(sum_row, u[s], -1.0);
-    model_.add_term(sum_row, wc_var_, -1.0);  // b_c = 1
-    wc_sum_rows_.push_back(sum_row);
-    wc_u_cols_.push_back(u);
-    wc_v_cols_.push_back(v);
+    wc_blocks_.push_back(detail::add_matching_dual_block(
+        model_, torus_.num_nodes(), obj_col_, 1.0, [&](int row, int s, int d) {
+          if (const int v = pair_flow_var(s, d, c0); v >= 0) model_.add_term(row, v, 1.0);
+        }));
   }
 }
 
 void SymmetricArcDesign::add_uniform_block() {
-  const int n = torus_.num_nodes(), nc = torus_.num_channels();
-  const bool is_obj = config_.objective == DesignObjective::Uniform;
-  const double up = config_.uniform_cap >= 0.0 ? config_.uniform_cap : lp::kInf;
-  uni_var_ = model_.add_col(0.0, up, is_obj ? 1.0 : 0.0);
-
+  obj_col_ = model_.add_col(0.0, lp::kInf, 1.0);
   const int num_blocks = config_.fold_dihedral ? 1 : kNumDirs;
   for (int dir = 0; dir < num_blocks; ++dir) {
     const int row = model_.add_row(RowType::LE, 0.0);
@@ -228,40 +168,25 @@ void SymmetricArcDesign::add_uniform_block() {
     for (int v = 0; v < num_flow_vars_; ++v) {
       if (dir_count_[v][dir] != 0.0) model_.add_term(row, v, dir_count_[v][dir]);
     }
-    model_.add_term(row, uni_var_, -static_cast<double>(n));
+    model_.add_term(row, obj_col_, -static_cast<double>(torus_.num_nodes()));
   }
-  (void)nc;
 }
 
 void SymmetricArcDesign::add_average_block() {
-  TCR_REQUIRE(!config_.samples.empty(),
-              "average-case design needs permutation traffic samples");
-  const int n = torus_.num_nodes(), nc = torus_.num_channels();
-  const bool is_obj = config_.objective == DesignObjective::AverageCase;
-  const double per = 1.0 / static_cast<double>(config_.samples.size());
+  samples_ = detail::add_sample_blocks(
+      model_, torus_, config_.samples, [&](int row_base, const std::vector<int>& perm) {
+        for (int c = 0; c < torus_.num_channels(); ++c) add_permutation_load(row_base + c, c, perm);
+      });
+}
 
-  avg_vars_.clear();
-  for (std::size_t i = 0; i < config_.samples.size(); ++i) {
-    avg_vars_.push_back(model_.add_col(0.0, lp::kInf, is_obj ? per : 0.0));
-  }
-  for (std::size_t i = 0; i < config_.samples.size(); ++i) {
-    const auto& perm = config_.samples[i];
-    TCR_REQUIRE(static_cast<int>(perm.size()) == n, "sample permutation size mismatch");
-    avg_row_base_.push_back(model_.num_rows());
-    for (int c = 0; c < nc; ++c) {
-      const int row = model_.add_row(RowType::LE, 0.0);
-      for (int s = 0; s < n; ++s) {
-        const int e = torus_.offset(s, perm[s]);
-        if (e == 0) continue;
-        model_.add_term(row, flow_var(e, torus_.translate_channel(c, torus_.negate_node(s))),
-                        1.0);
-      }
-      model_.add_term(row, avg_vars_[i], -1.0);
-    }
-  }
-  if (config_.average_cap >= 0.0) {
-    const int row = model_.add_row(RowType::LE, config_.average_cap);
-    for (int var : avg_vars_) model_.add_term(row, var, per);
+int SymmetricArcDesign::pair_flow_var(int s, int d, int c) const {
+  const int e = torus_.offset(s, d);
+  return e == 0 ? -1 : flow_var(e, torus_.translate_channel(c, torus_.negate_node(s)));
+}
+
+void SymmetricArcDesign::add_permutation_load(int row, int c, const std::vector<int>& perm) {
+  for (int s = 0; s < torus_.num_nodes(); ++s) {
+    if (const int v = pair_flow_var(s, perm[s], c); v >= 0) model_.add_term(row, v, 1.0);
   }
 }
 
@@ -283,10 +208,34 @@ void SymmetricArcDesign::set_locality_bound(double locality_equals) {
   model_.set_rhs(locality_row_, locality_equals * torus_.num_nodes());
 }
 
+void SymmetricArcDesign::minimize_locality_within(double cap) {
+  TCR_REQUIRE(cap >= 0.0, "throughput cap must be nonnegative");
+  const int n = torus_.num_nodes();
+  for (int v = 0; v < num_flow_vars_; ++v) model_.set_cost(v, orbit_size_[v] / n);
+  if (config_.objective == DesignObjective::AverageCase) {
+    detail::cap_sample_mean(model_, samples_, cap);
+  } else {
+    model_.set_cost(obj_col_, 0.0);
+    model_.set_upper(obj_col_, cap);
+  }
+}
+
+void SymmetricArcDesign::add_cut(const std::vector<int>& perm) {
+  TCR_REQUIRE(config_.objective == DesignObjective::WorstCase && !config_.worst_case_exact_block,
+              "cuts need a worst-case design with worst_case_exact_block == false");
+  detail::check_permutation(torus_, perm);
+  const int row = model_.add_row(RowType::LE, 0.0);
+  if (first_cut_row_ < 0) first_cut_row_ = row;
+  add_permutation_load(row, torus_.channel(0, Dir::PX), perm);
+  model_.add_term(row, obj_col_, -1.0);
+}
+
 const lp::CrashHints& SymmetricArcDesign::flow_crash_hints() {
-  if (crash_hints_built_) return crash_hints_;
-  crash_hints_built_ = true;
   auto& hints = crash_hints_.basic_of_row;
+  if (!hints.empty()) {
+    hints.resize(static_cast<std::size_t>(model_.num_rows()), -1);
+    return crash_hints_;
+  }
   hints.assign(static_cast<std::size_t>(model_.num_rows()), -1);
   std::vector<char> used(static_cast<std::size_t>(model_.num_cols()), 0);
   auto take = [&](int row, int col) {
@@ -320,15 +269,15 @@ const lp::CrashHints& SymmetricArcDesign::flow_crash_hints() {
   // Worst-case exact blocks: the free dual potentials want to be basic —
   // v_d in its first row (s = 0), u_s in its first row (d = 0; u_0 is fixed
   // at zero and stays nonbasic) — and w replaces the sum row's artificial.
-  for (std::size_t b = 0; b < wc_block_row_base_.size(); ++b) {
-    const int base = wc_block_row_base_[b];
-    for (int d = 0; d < n; ++d) take(base + d, wc_v_cols_[b][d]);
-    for (int s = 1; s < n; ++s) take(base + s * n, wc_u_cols_[b][s]);
-    take(wc_sum_rows_[b], wc_var_);
+  for (const auto& b : wc_blocks_) {
+    for (int d = 0; d < n; ++d) take(b.row_base + d, b.v[d]);
+    for (int s = 1; s < n; ++s) take(b.row_base + s * n, b.u[s]);
+    take(b.sum_row, obj_col_);
   }
-  if (first_cut_row_ >= 0) take(first_cut_row_, wc_var_);
-  for (const int row : uni_rows_) take(row, uni_var_);
-  for (std::size_t i = 0; i < avg_row_base_.size(); ++i) take(avg_row_base_[i], avg_vars_[i]);
+  if (first_cut_row_ >= 0) take(first_cut_row_, obj_col_);
+  for (const int row : uni_rows_) take(row, obj_col_);
+  for (std::size_t i = 0; i < samples_.row_base.size(); ++i)
+    take(samples_.row_base[i], samples_.cols[i]);
 
   int covered = 0;
   for (const int col : hints) covered += (col >= 0);
@@ -340,6 +289,9 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
                                        const lp::Basis* warm) {
   auto& met = DesignMetrics::get();
   met.solves.add(1);
+  met.rows.set(model_.num_rows());
+  met.cols.set(model_.num_cols());
+  met.nnz.set(static_cast<double>(model_.num_terms()));
   lp::Solution sol;
   {
     trace::Span t("design.solve", met.t_solve);
@@ -351,29 +303,22 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("warm_start", sol.warm_start);
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));
   }
-  DesignResult res;
-  res.status = sol.status;
-  res.iterations = sol.iterations;
-  res.dual_iterations = sol.dual_iterations;
-  res.note = sol.note;
-  res.certificate = sol.certificate;
-  res.basis = std::move(sol.basis);
-  res.warm_start = sol.warm_start;
-  if (sol.status != lp::Status::Optimal) return res;
-  res.objective = sol.objective;
-  met.last_objective.set(sol.objective);
-  met.objectives.record(sol.objective);
-  const int n = torus_.num_nodes(), nc = torus_.num_channels();
-  solution_flows_.resize(static_cast<std::size_t>(n - 1) * nc);
   double total = 0.0;
-  for (int e = 1; e < n; ++e) {
-    for (int c = 0; c < nc; ++c) {
-      const double f = sol.x[flow_var(e, c)];
-      solution_flows_[(e - 1) * nc + c] = f;
-      total += f;
+  if (sol.status == lp::Status::Optimal) {
+    met.last_objective.set(sol.objective);
+    met.objectives.record(sol.objective);
+    const int n = torus_.num_nodes(), nc = torus_.num_channels();
+    solution_flows_.resize(static_cast<std::size_t>(n - 1) * nc);
+    for (int e = 1; e < n; ++e) {
+      for (int c = 0; c < nc; ++c) {
+        const double f = sol.x[flow_var(e, c)];
+        solution_flows_[(e - 1) * nc + c] = f;
+        total += f;
+      }
     }
   }
-  res.avg_hops = total / n;
+  DesignResult res = detail::design_result(std::move(sol));
+  res.avg_hops = total / torus_.num_nodes();
   return res;
 }
 
@@ -404,7 +349,6 @@ namespace {
 
 struct GeneralVars {
   int n = 0, nc = 0;
-  int pair_stride = 0;
   int flow_var(int s, int d, int c) const { return (s * n + d) * nc + c; }
 };
 
@@ -431,13 +375,20 @@ void add_general_flows(const Digraph& g, Model& model, GeneralVars& vars) {
   }
 }
 
-void extract_general(const GeneralVars& vars, const lp::Solution& sol,
-                     GeneralDesignResult& res) {
+GeneralDesignResult solve_general(const Model& model, const GeneralVars& vars,
+                                  const lp::SimplexOptions& opts) {
+  const lp::Solution sol = lp::solve(model, opts);
+  GeneralDesignResult res;
+  res.status = sol.status;
+  res.certificate = sol.certificate;
+  if (sol.status != lp::Status::Optimal) return res;
+  res.objective = sol.objective;
   res.flows.assign(vars.n * vars.n, std::vector<double>(vars.nc, 0.0));
   for (int s = 0; s < vars.n; ++s)
     for (int d = 0; d < vars.n; ++d)
       for (int c = 0; c < vars.nc; ++c)
         res.flows[s * vars.n + d][c] = sol.x[vars.flow_var(s, d, c)];
+  return res;
 }
 
 }  // namespace
@@ -456,14 +407,7 @@ GeneralDesignResult general_capacity_design(const Digraph& g, const lp::SimplexO
     }
     model.add_term(row, w, -g.channel(c).bandwidth);
   }
-  const lp::Solution sol = lp::solve(model, opts);
-  GeneralDesignResult res;
-  res.status = sol.status;
-  res.certificate = sol.certificate;
-  if (sol.status != lp::Status::Optimal) return res;
-  res.objective = sol.objective;
-  extract_general(vars, sol, res);
-  return res;
+  return solve_general(model, vars, opts);
 }
 
 GeneralDesignResult general_worst_case_design(const Digraph& g, const lp::SimplexOptions& opts) {
@@ -472,31 +416,12 @@ GeneralDesignResult general_worst_case_design(const Digraph& g, const lp::Simple
   add_general_flows(g, model, vars);
   const int w = model.add_col(0.0, lp::kInf, 1.0);
   for (int c = 0; c < vars.nc; ++c) {
-    std::vector<int> u(vars.n), v(vars.n);
-    for (int s = 0; s < vars.n; ++s)
-      u[s] = (s == 0) ? model.add_col(0.0, 0.0, 0.0) : model.add_col(-lp::kInf, lp::kInf, 0.0);
-    for (int d = 0; d < vars.n; ++d) v[d] = model.add_col(-lp::kInf, lp::kInf, 0.0);
-    for (int s = 0; s < vars.n; ++s) {
-      for (int d = 0; d < vars.n; ++d) {
-        const int row = model.add_row(RowType::LE, 0.0);
-        if (s != d) model.add_term(row, vars.flow_var(s, d, c), 1.0);
-        model.add_term(row, v[d], -1.0);
-        model.add_term(row, u[s], 1.0);
-      }
-    }
-    const int sum_row = model.add_row(RowType::EQ, 0.0);
-    for (int d = 0; d < vars.n; ++d) model.add_term(sum_row, v[d], 1.0);
-    for (int s = 0; s < vars.n; ++s) model.add_term(sum_row, u[s], -1.0);
-    model.add_term(sum_row, w, -g.channel(c).bandwidth);
+    detail::add_matching_dual_block(model, vars.n, w, g.channel(c).bandwidth,
+                                    [&](int row, int s, int d) {
+                                      if (s != d) model.add_term(row, vars.flow_var(s, d, c), 1.0);
+                                    });
   }
-  const lp::Solution sol = lp::solve(model, opts);
-  GeneralDesignResult res;
-  res.status = sol.status;
-  res.certificate = sol.certificate;
-  if (sol.status != lp::Status::Optimal) return res;
-  res.objective = sol.objective;
-  extract_general(vars, sol, res);
-  return res;
+  return solve_general(model, vars, opts);
 }
 
 }  // namespace tcr

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "tcr/core/blocks.hpp"
 #include "tcr/graph/digraph.hpp"
 #include "tcr/graph/torus.hpp"
 #include "tcr/lp/model.hpp"
@@ -33,15 +34,14 @@ enum class DesignObjective {
   WorstCase,    // gamma_wc(R), LP (8)
   Uniform,      // gamma_max(R, U), problem (6) — network capacity
   AverageCase,  // mean gamma_max over samples, eq. (9)
-  Locality,     // H_avg(R) — used for the lexicographic second pass
 };
 
 struct SymmetricDesignConfig {
   DesignObjective objective = DesignObjective::WorstCase;
   /// Additionally restrict to routings invariant under the dihedral point
   /// group D4 (tcr/graph/symmetry.hpp) by tying variables across orbits.
-  /// Lossless for the worst-case / uniform / locality objectives (convexity
-  /// + invariance); for the sampled average case it is equivalent to using
+  /// Lossless for the worst-case / uniform objectives and for H_avg
+  /// (convexity + invariance); for the sampled average case it is equivalent to using
   /// the D4-closure of the sample set. Cuts variables ~8x and lets the
   /// worst-case block use a single representative channel.
   bool fold_dihedral = true;
@@ -52,19 +52,14 @@ struct SymmetricDesignConfig {
   /// use this: past the unconstrained optimum an equality constraint forces
   /// wastefully long paths and the curve would bend back.
   bool locality_le = false;
-  /// Cap constraints (used for lexicographic solves). Negative = absent.
-  double worst_case_cap = -1.0;
-  double uniform_cap = -1.0;
-  double average_cap = -1.0;
   /// Permutation traffic samples (perm[s] = d) for the average-case rows.
   std::vector<std::vector<int>> samples;
   /// Worst-case handling: with `true` the full matching-dual block of LP (8)
-  /// is embedded (exact in one solve). With `false`, only explicit
-  /// permutation rows from `cut_permutations` constrain the worst case —
-  /// the relaxation used by the cutting-plane method (design.hpp), whose
-  /// separation oracle (a Hungarian matching) supplies the permutations.
+  /// is embedded (exact in one solve). With `false`, only the permutation
+  /// rows appended by add_cut() constrain the worst case — the relaxation
+  /// used by the cutting-plane method (design.hpp), whose separation oracle
+  /// (a Hungarian matching) supplies the permutations.
   bool worst_case_exact_block = true;
-  std::vector<std::vector<int>> cut_permutations;
 };
 
 struct DesignResult {
@@ -83,6 +78,9 @@ struct DesignResult {
   std::string warm_start = "cold";
 };
 
+/// One torus design LP, built once by the constructor and then edited in
+/// place between solves: set_locality_bound (sweeps), minimize_locality_within
+/// (the lexicographic second stage) and add_cut (cutting-plane rounds).
 class SymmetricArcDesign {
  public:
   SymmetricArcDesign(const Torus& torus, SymmetricDesignConfig config);
@@ -102,13 +100,28 @@ class SymmetricArcDesign {
   /// point from the previous basis.
   void set_locality_bound(double locality_equals);
 
+  /// Lexicographic stage-2 edit (design.hpp): minimize H_avg subject to the
+  /// configured throughput objective staying <= `cap`. The flow columns take
+  /// their locality costs; the objective column is zeroed and capped through
+  /// its upper bound (worst case, uniform), or the sample mean gets an
+  /// appended cap row (average case). Call it once. The model is edited,
+  /// never rebuilt, so a solve() after a bound cap can warm-start from the
+  /// stage-1 basis.
+  void minimize_locality_within(double cap);
+
+  /// Append the cutting-plane row gamma_{c0}(R, perm) <= w for the
+  /// representative channel c0 (+X at node 0). Requires a worst-case design
+  /// with worst_case_exact_block == false.
+  void add_cut(const std::vector<int>& perm);
+
   /// Combinatorial crash basis for cold solves: a Dinic max-flow pass
   /// (lp/maxflow.hpp) routes one shortest 0 -> e path per representative
   /// commodity and nominates the path's flow variables as initial basic
   /// columns for their conservation rows; the dual-potential and load-bound
   /// columns of the side blocks are nominated for one row each. The hints
   /// depend only on the constraint structure, never on right-hand sides, so
-  /// they are computed once and cached. solve() passes them to lp::solve
+  /// they are computed once and cached; rows appended since (cuts, the
+  /// stage-2 cap row) keep their slack (-1). solve() passes them to lp::solve
   /// on every call (they only matter when no warm basis is adopted).
   const lp::CrashHints& flow_crash_hints();
 
@@ -123,12 +136,16 @@ class SymmetricArcDesign {
 
  private:
   int flow_var(int e, int c) const { return var_of_[(e - 1) * torus_.num_channels() + c]; }
-  void build();
   void build_orbits();
   void add_flow_conservation();
   void add_worst_case_block();
   void add_uniform_block();
   void add_average_block();
+  /// Flow variable carrying pair (s, d)'s load on channel c: commodity
+  /// d - s from the canonical source 0, on c translated by -s. -1 if s == d.
+  int pair_flow_var(int s, int d, int c) const;
+  /// Adds the load permutation `perm` puts on channel c to `row`.
+  void add_permutation_load(int row, int c, const std::vector<int>& perm);
   void add_locality_row();
 
   const Torus& torus_;
@@ -139,25 +156,19 @@ class SymmetricArcDesign {
   std::vector<double> orbit_size_;   // per folded variable
   std::vector<std::array<double, 4>> dir_count_;  // orbit members per class
   std::vector<int> rep_commodities_;
-  int wc_var_ = -1;      // w of LP (8)
-  int uni_var_ = -1;     // uniform max-load variable
+  int obj_col_ = -1;       // w of LP (8), or the uniform max load
   int locality_row_ = -1;  // row index of the locality constraint, if any
-  std::vector<int> avg_vars_;  // per-sample max-load variables
+  detail::SampleBlocks samples_;  // LP (15) blocks (average case)
   std::vector<double> solution_flows_;  // (N-1) * C flow values after solve
 
   // Row/column bookkeeping for flow_crash_hints(). Conservation rows start
   // at cons_row_base_ and run commodity-major ((rep index) * N + node); the
-  // worst-case exact blocks record their (s, d)-grid base row, sum row and
-  // potential columns; uniform/average rows are recorded directly.
+  // other blocks record their rows and columns as they are built.
   int cons_row_base_ = 0;
-  std::vector<int> wc_block_row_base_;
-  std::vector<int> wc_sum_rows_;
-  std::vector<std::vector<int>> wc_u_cols_, wc_v_cols_;
+  std::vector<detail::MatchingDualBlock> wc_blocks_;
   int first_cut_row_ = -1;
   std::vector<int> uni_rows_;
-  std::vector<int> avg_row_base_;  // first row of each sample's block
   lp::CrashHints crash_hints_;
-  bool crash_hints_built_ = false;
 };
 
 // ---- General (unreduced) formulations for arbitrary digraphs ----------

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "tcr/core/lexicographic.hpp"
 #include "tcr/graph/symmetry.hpp"
 #include "tcr/lp/certify.hpp"
 #include "tcr/matching/hungarian.hpp"
@@ -21,74 +22,6 @@ double capacity_design_load(const Torus& torus, const lp::SimplexOptions& opts) 
   return res.objective;
 }
 
-namespace {
-
-OptimalDesign lexicographic(const Torus& torus, DesignObjective objective,
-                            const std::vector<std::vector<int>>& samples,
-                            const std::string& name, const lp::SimplexOptions& opts) {
-  // Stage 1: optimize the throughput objective.
-  SymmetricDesignConfig cfg;
-  cfg.objective = objective;
-  cfg.samples = samples;
-  OptimalDesign out{.status = lp::Status::Numerical,
-                    .objective = 0.0,
-                    .avg_hops = 0.0,
-                    .locality_norm = 0.0,
-                    .note = {},
-                    .certificate = {},
-                    .routing = TorusRouting(torus, name)};
-  lp::Basis stage1_basis;
-  int stage1_rows = 0, stage1_cols = 0;
-  {
-    trace::Span span("design.lexicographic.stage1");
-    SymmetricArcDesign stage1(torus, cfg);
-    DesignResult r1 = stage1.solve(opts);
-    span.attr("status", lp::to_string(r1.status));
-    out.certificate = r1.certificate;
-    if (r1.status != lp::Status::Optimal) {
-      out.status = r1.status;
-      out.note = "stage-1 (throughput) LP: " + r1.note;
-      return out;
-    }
-    out.objective = r1.objective;
-    stage1_basis = std::move(r1.basis);
-    stage1_rows = stage1.model().num_rows();
-    stage1_cols = stage1.model().num_cols();
-  }
-
-  // Stage 2: best locality subject to the stage-1 optimum.
-  SymmetricDesignConfig cfg2;
-  cfg2.objective = DesignObjective::Locality;
-  cfg2.samples = samples;
-  const double cap = out.objective * (1.0 + kLexicographicSlack);
-  if (objective == DesignObjective::WorstCase) cfg2.worst_case_cap = cap;
-  if (objective == DesignObjective::Uniform) cfg2.uniform_cap = cap;
-  if (objective == DesignObjective::AverageCase) cfg2.average_cap = cap;
-  trace::Span stage2_span("design.lexicographic.stage2");
-  SymmetricArcDesign stage2(torus, cfg2);
-  // The worst-case/uniform caps only tighten a variable bound, so the
-  // stage-2 model keeps stage 1's shape and its optimal basis is a natural
-  // warm start (the stage-1 optimum is primal-feasible for stage 2). The
-  // average-case cap adds a row, which changes the standard form — skip.
-  const bool same_shape = stage2.model().num_rows() == stage1_rows &&
-                          stage2.model().num_cols() == stage1_cols;
-  const DesignResult r2 = stage2.solve(opts, same_shape ? &stage1_basis : nullptr);
-  stage2_span.attr("status", lp::to_string(r2.status));
-  stage2_span.attr("warm_start", r2.warm_start);
-  out.status = r2.status;
-  out.certificate = lp::worse_certificate(out.certificate, r2.certificate);
-  if (r2.status != lp::Status::Optimal) {
-    out.note = "stage-2 (locality) LP: " + r2.note;
-    return out;
-  }
-  out.avg_hops = r2.avg_hops;
-  out.locality_norm = r2.avg_hops / torus.mean_min_distance();
-  out.routing = stage2.routing(name);
-  return out;
-}
-
-}  // namespace
-
 CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
                                                    const lp::SimplexOptions& opts,
                                                    int max_rounds, double tol) {
@@ -97,6 +30,10 @@ CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
   const TorusSymmetry sym(torus);
   CuttingPlaneResult out;
   std::set<std::vector<int>> seen;
+  // One relaxation model for the whole run: every round appends its cuts.
+  SymmetricDesignConfig cfg;
+  cfg.worst_case_exact_block = false;
+  SymmetricArcDesign design(torus, std::move(cfg));
 
   // A violated permutation pi stays a valid (and distinct) cut under
   // conjugation by every torus automorphism a: gamma_{c0}(R, a pi a^-1)
@@ -113,7 +50,10 @@ CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
           const int a_pis = torus.translate_node(sym.map_node(g, pi[s]), t);
           img[a_s] = a_pis;
         }
-        if (seen.insert(img).second) out.cuts.push_back(std::move(img));
+        if (seen.insert(img).second) {
+          design.add_cut(img);
+          out.cuts.push_back(std::move(img));
+        }
       }
     }
   };
@@ -123,11 +63,6 @@ CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
     trace::Span round_span("design.cutting_plane.round");
     round_span.attr("round", out.rounds);
     round_span.attr("cuts", static_cast<std::int64_t>(out.cuts.size()));
-    SymmetricDesignConfig cfg;
-    cfg.objective = DesignObjective::WorstCase;
-    cfg.worst_case_exact_block = false;
-    cfg.cut_permutations = out.cuts;
-    SymmetricArcDesign design(torus, cfg);
     const DesignResult res = design.solve(opts);
     out.certificate = out.rounds == 1
                           ? res.certificate
@@ -162,13 +97,18 @@ CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
 }
 
 OptimalDesign design_worst_case_optimal(const Torus& torus, const lp::SimplexOptions& opts) {
-  return lexicographic(torus, DesignObjective::WorstCase, {}, "WC-OPT", opts);
+  SymmetricArcDesign design(torus, SymmetricDesignConfig{});
+  return detail::lexicographic(torus, design, "WC-OPT", opts);
 }
 
 OptimalDesign design_average_case_optimal(const Torus& torus,
                                           const std::vector<std::vector<int>>& samples,
                                           const lp::SimplexOptions& opts) {
-  return lexicographic(torus, DesignObjective::AverageCase, samples, "AVG-OPT", opts);
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::AverageCase;
+  cfg.samples = samples;
+  SymmetricArcDesign design(torus, std::move(cfg));
+  return detail::lexicographic(torus, design, "AVG-OPT", opts);
 }
 
 }  // namespace tcr

@@ -4,8 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "tcr/core/lexicographic.hpp"
 #include "tcr/graph/symmetry.hpp"
-#include "tcr/lp/certify.hpp"
 #include "tcr/routing/two_turn.hpp"
 #include "tcr/util/check.hpp"
 
@@ -18,21 +18,19 @@ using lp::RowType;
 
 // Path-weight LP over a fixed family, with variables tied across orbits of
 // the dihedral point group (valid for the same reasons as in arc_flow.cpp;
-// the candidate families are closed under the group).
+// the candidate families are closed under the group). Built once for the
+// throughput objective; minimize_locality_within() is the stage-2 edit.
 class PathLP {
  public:
-  PathLP(const Torus& torus, const PathFamily& family, const PathDesignConfig& config,
-         DesignObjective objective, double cap)
+  PathLP(const Torus& torus, const PathFamily& family, const PathDesignConfig& config)
       : torus_(torus) {
     const int n = torus.num_nodes();
-    const bool min_locality = objective == DesignObjective::Locality;
     const TorusSymmetry sym(torus);
 
     // Enumerate representative commodities' paths and tie orbits.
     by_commodity_.resize(n);
     std::map<std::pair<int, std::vector<int>>, int> var_of;
     int num_vars = 0;
-    std::vector<double> orbit_len_sum;  // total hops across orbit members
     for (int e = 1; e < n; ++e) {
       if (sym.node_rep(e) != e) continue;
       for (const Path& p : family(torus, e)) {
@@ -43,10 +41,8 @@ class PathLP {
           auto [it, fresh] = var_of.try_emplace({q.dst, q.channels}, num_vars);
           if (fresh) {
             by_commodity_[q.dst].push_back({q, it->second});
-            orbit_member_count_.resize(num_vars + 1, 0.0);
-            orbit_len_sum.resize(num_vars + 1, 0.0);
-            orbit_member_count_[it->second] += 1.0;
-            orbit_len_sum[it->second] += q.length();
+            locality_cost_.resize(num_vars + 1, 0.0);  // total hops across the orbit
+            locality_cost_[it->second] += q.length();
           }
           v = it->second;
         }
@@ -54,7 +50,8 @@ class PathLP {
       }
     }
     for (int v = 0; v < num_vars; ++v) {
-      model_.add_col(0.0, lp::kInf, min_locality ? orbit_len_sum[v] / n : 0.0);
+      locality_cost_[v] /= n;
+      model_.add_col(0.0, lp::kInf, 0.0);
     }
 
     // Unit probability mass per representative commodity (eq. 1); the other
@@ -68,25 +65,43 @@ class PathLP {
       TCR_REQUIRE(!by_commodity_[e].empty(), "path family must cover every offset");
     }
 
-    const bool want_wc = objective == DesignObjective::WorstCase ||
-                         (cap >= 0.0 && config.objective == DesignObjective::WorstCase);
-    const bool want_avg = objective == DesignObjective::AverageCase ||
-                          (cap >= 0.0 && config.objective == DesignObjective::AverageCase);
-    if (want_wc) add_worst_case(objective == DesignObjective::WorstCase, cap);
-    if (want_avg) add_average(config.samples, objective == DesignObjective::AverageCase, cap);
+    if (config.objective == DesignObjective::WorstCase) {
+      add_worst_case();
+    } else {
+      add_average(config.samples);
+    }
   }
 
-  lp::Solution solve(const lp::SimplexOptions& opts, const lp::Basis* warm = nullptr) {
-    return lp::solve(model_, opts, warm);
+  DesignResult solve(const lp::SimplexOptions& opts, const lp::Basis* warm) {
+    lp::Solution sol = lp::solve(model_, opts, warm);
+    double hops = 0.0;
+    if (sol.status == lp::Status::Optimal) {
+      x_ = std::move(sol.x);
+      for (std::size_t v = 0; v < locality_cost_.size(); ++v) hops += locality_cost_[v] * x_[v];
+    }
+    DesignResult res = detail::design_result(std::move(sol));
+    res.avg_hops = hops;
+    return res;
+  }
+
+  void minimize_locality_within(double cap) {
+    for (std::size_t v = 0; v < locality_cost_.size(); ++v)
+      model_.set_cost(static_cast<int>(v), locality_cost_[v]);
+    if (w_ >= 0) {
+      model_.set_cost(w_, 0.0);
+      model_.set_upper(w_, cap);
+    } else {
+      detail::cap_sample_mean(model_, samples_, cap);
+    }
   }
 
   const Model& model() const { return model_; }
 
-  TorusRouting extract(const lp::Solution& sol, const std::string& name) const {
+  TorusRouting routing(const std::string& name) const {
     TorusRouting r(torus_, name);
     for (int e = 1; e < torus_.num_nodes(); ++e) {
       for (const auto& [p, v] : by_commodity_[e]) {
-        if (sol.x[v] > 1e-9) r.add_path(e, p, sol.x[v]);
+        if (x_[v] > 1e-9) r.add_path(e, p, x_[v]);
       }
     }
     r.normalize();
@@ -94,81 +109,49 @@ class PathLP {
   }
 
  private:
-  void add_worst_case(bool is_obj, double cap) {
-    const int n = torus_.num_nodes();
-    const double up = (!is_obj && cap >= 0.0) ? cap : lp::kInf;
-    const int w = model_.add_col(0.0, up, is_obj ? 1.0 : 0.0);
-
+  void add_worst_case() {
+    w_ = model_.add_col(0.0, lp::kInf, 1.0);
     // One representative channel (+X at node 0); the fold makes the four
-    // classes equivalent.
-    std::vector<int> u(n), v(n);
-    for (int s = 0; s < n; ++s)
-      u[s] = (s == 0) ? model_.add_col(0.0, 0.0, 0.0)
-                      : model_.add_col(-lp::kInf, lp::kInf, 0.0);
-    for (int d = 0; d < n; ++d) v[d] = model_.add_col(-lp::kInf, lp::kInf, 0.0);
-
-    std::vector<int> row(n * n);
-    for (int s = 0; s < n; ++s) {
-      for (int d = 0; d < n; ++d) {
-        row[s * n + d] = model_.add_row(RowType::LE, 0.0);
-        model_.add_term(row[s * n + d], v[d], -1.0);
-        model_.add_term(row[s * n + d], u[s], 1.0);
-      }
-    }
-    // A +X channel of a path at node m loads the representative channel for
-    // the pair (s = -m, d = s + e).
-    for (int e = 1; e < n; ++e) {
-      for (const auto& [p, pv] : by_commodity_[e]) {
-        for (int c : p.channels) {
-          if (torus_.channel_dir(c) != Dir::PX) continue;
-          const int s = torus_.negate_node(torus_.channel_src(c));
-          const int d = torus_.translate_node(s, e);
-          model_.add_term(row[s * n + d], pv, 1.0);
-        }
-      }
-    }
-    const int sum_row = model_.add_row(RowType::EQ, 0.0);
-    for (int d = 0; d < n; ++d) model_.add_term(sum_row, v[d], 1.0);
-    for (int s = 0; s < n; ++s) model_.add_term(sum_row, u[s], -1.0);
-    model_.add_term(sum_row, w, -1.0);
+    // classes equivalent. A +X channel of a commodity-e path at node m
+    // loads it for the pair (s = -m, d = s + e).
+    detail::add_matching_dual_block(
+        model_, torus_.num_nodes(), w_, 1.0, [&](int row, int s, int d) {
+          const int e = torus_.offset(s, d);
+          if (e == 0) return;
+          const int m = torus_.negate_node(s);
+          for (const auto& [p, pv] : by_commodity_[e]) {
+            for (int c : p.channels) {
+              if (torus_.channel_dir(c) == Dir::PX && torus_.channel_src(c) == m)
+                model_.add_term(row, pv, 1.0);
+            }
+          }
+        });
   }
 
-  void add_average(const std::vector<std::vector<int>>& samples, bool is_obj, double cap) {
-    TCR_REQUIRE(!samples.empty(), "average-case path design needs samples");
-    const int n = torus_.num_nodes(), nc = torus_.num_channels();
-    const double per = 1.0 / static_cast<double>(samples.size());
-    std::vector<int> mvars;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      mvars.push_back(model_.add_col(0.0, lp::kInf, is_obj ? per : 0.0));
-    }
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const auto& perm = samples[i];
-      std::vector<int> row(nc);
-      for (int c = 0; c < nc; ++c) {
-        row[c] = model_.add_row(RowType::LE, 0.0);
-        model_.add_term(row[c], mvars[i], -1.0);
-      }
-      for (int s = 0; s < n; ++s) {
-        const int e = torus_.offset(s, perm[s]);
-        if (e == 0) continue;
-        for (const auto& [p, pv] : by_commodity_[e]) {
-          for (int c : p.channels) {
-            model_.add_term(row[torus_.translate_channel(c, s)], pv, 1.0);
+  void add_average(const std::vector<std::vector<int>>& samples) {
+    const int n = torus_.num_nodes();
+    samples_ = detail::add_sample_blocks(
+        model_, torus_, samples, [&](int row_base, const std::vector<int>& perm) {
+          for (int s = 0; s < n; ++s) {
+            const int e = torus_.offset(s, perm[s]);
+            if (e == 0) continue;
+            for (const auto& [p, pv] : by_commodity_[e]) {
+              for (int c : p.channels) {
+                model_.add_term(row_base + torus_.translate_channel(c, s), pv, 1.0);
+              }
+            }
           }
-        }
-      }
-    }
-    if (!is_obj && cap >= 0.0) {
-      const int row = model_.add_row(RowType::LE, cap);
-      for (int m : mvars) model_.add_term(row, m, per);
-    }
+        });
   }
 
   const Torus& torus_;
   Model model_;
   // Every family path for every commodity, with its (orbit-folded) variable.
   std::vector<std::vector<std::pair<Path, int>>> by_commodity_;
-  std::vector<double> orbit_member_count_;
+  std::vector<double> locality_cost_;  // per variable: orbit hops / N
+  int w_ = -1;                         // worst-case objective column
+  detail::SampleBlocks samples_;       // average-case blocks
+  std::vector<double> x_;              // last optimal solution
 };
 
 }  // namespace
@@ -179,76 +162,27 @@ PathDesignResult design_over_paths(const Torus& torus, const std::string& name,
   TCR_REQUIRE(config.objective == DesignObjective::WorstCase ||
                   config.objective == DesignObjective::AverageCase,
               "path design optimizes worst-case or average-case throughput");
-
-  PathDesignResult out{.status = lp::Status::Numerical,
-                       .objective = 0.0,
-                       .note = {},
-                       .certificate = {},
-                       .routing = TorusRouting(torus, name)};
-
-  // Stage 1: optimal throughput over the family.
-  PathLP stage1(torus, family, config, config.objective, -1.0);
-  const lp::Solution s1 = stage1.solve(opts);
-  out.certificate = s1.certificate;
-  if (s1.status != lp::Status::Optimal) {
-    out.status = s1.status;
-    out.note = "stage-1 (throughput) path LP: " + s1.note;
-    return out;
-  }
-  out.objective = s1.objective;
-  if (!config.lexicographic_locality) {
-    out.status = s1.status;
-    out.routing = stage1.extract(s1, name);
-    return out;
-  }
-
-  // Stage 2: shortest average path length at that throughput. For the
-  // worst-case objective the cap only tightens w's upper bound, so stage 2
-  // keeps stage 1's shape and warm-starts from its optimal basis; the
-  // average-case cap adds a row (different standard form), so start cold.
-  const double cap = s1.objective * (1.0 + 1e-6);
-  PathLP stage2(torus, family, config, DesignObjective::Locality, cap);
-  const bool same_shape = stage2.model().num_rows() == stage1.model().num_rows() &&
-                          stage2.model().num_cols() == stage1.model().num_cols();
-  const lp::Solution s2 = stage2.solve(opts, same_shape ? &s1.basis : nullptr);
-  out.status = s2.status;
-  out.certificate = lp::worse_certificate(out.certificate, s2.certificate);
-  if (s2.status != lp::Status::Optimal) {
-    out.note = "stage-2 (locality) path LP: " + s2.note;
-    return out;
-  }
-  out.routing = stage2.extract(s2, name);
-  return out;
+  PathLP lp(torus, family, config);
+  return detail::lexicographic(torus, lp, name, opts, config.lexicographic_locality);
 }
 
 PathDesignResult design_two_turn(const Torus& torus, const lp::SimplexOptions& opts) {
-  PathDesignConfig cfg;
-  cfg.objective = DesignObjective::WorstCase;
-  return design_over_paths(
-      torus, "2TURN", [](const Torus& t, int e) { return enumerate_two_turn_paths(t, e); },
-      cfg, opts);
+  return design_over_paths(torus, "2TURN", enumerate_two_turn_paths,
+                           {DesignObjective::WorstCase, {}, true}, opts);
 }
 
 PathDesignResult design_two_turn_avg(const Torus& torus,
                                      const std::vector<std::vector<int>>& samples,
                                      const lp::SimplexOptions& opts) {
-  PathDesignConfig cfg;
-  cfg.objective = DesignObjective::AverageCase;
-  cfg.samples = samples;
-  return design_over_paths(
-      torus, "2TURNA", [](const Torus& t, int e) { return enumerate_two_turn_paths(t, e); },
-      cfg, opts);
+  return design_over_paths(torus, "2TURNA", enumerate_two_turn_paths,
+                           {DesignObjective::AverageCase, samples, true}, opts);
 }
 
 PathDesignResult design_minimal_avg(const Torus& torus,
                                     const std::vector<std::vector<int>>& samples,
                                     const lp::SimplexOptions& opts) {
-  PathDesignConfig cfg;
-  cfg.objective = DesignObjective::AverageCase;
-  cfg.samples = samples;
-  return design_over_paths(
-      torus, "MIN-A", [](const Torus& t, int e) { return enumerate_minimal_paths(t, e); },
-      cfg, opts);
+  return design_over_paths(torus, "MIN-A", enumerate_minimal_paths,
+                           {DesignObjective::AverageCase, samples, true}, opts);
 }
 
 }  // namespace tcr

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "tcr/core/arc_flow.hpp"
+#include "tcr/core/design.hpp"
 #include "tcr/routing/routing.hpp"
 
 namespace tcr {
@@ -23,14 +23,9 @@ struct PathDesignConfig {
   bool lexicographic_locality = true;     // second pass minimizing H_avg
 };
 
-struct PathDesignResult {
-  lp::Status status = lp::Status::Numerical;
-  double objective = 0.0;  // optimal gamma of the configured objective
-  std::string note;        // solver stop diagnosis when not Optimal
-  /// Worse of the two lexicographic stages' certificates (lp::certify).
-  lp::Certificate certificate;
-  TorusRouting routing;
-};
+/// Same fields as the arc-flow designs: avg_hops/locality_norm are the
+/// designed routing's H_avg at the optimum.
+using PathDesignResult = OptimalDesign;
 
 PathDesignResult design_over_paths(const Torus& torus, const std::string& name,
                                    const PathFamily& family, const PathDesignConfig& config,

@@ -57,6 +57,13 @@ void Model::set_cost(int col, double cost) {
   cost_[col] = cost;
 }
 
+void Model::set_upper(int col, double up) {
+  TCR_REQUIRE(col >= 0 && col < num_cols(), "col index out of range");
+  TCR_REQUIRE(!std::isnan(up) && up > -kInf && up >= lo_[col],
+              "upper bound must not be NaN, -inf or below the lower bound");
+  up_[col] = up;
+}
+
 void Model::set_rhs(int row, double rhs) {
   TCR_REQUIRE(row >= 0 && row < num_rows(), "row index out of range");
   TCR_REQUIRE(std::isfinite(rhs), "row rhs must be finite");

@@ -153,6 +153,11 @@ class Model {
 
   void set_cost(int col, double cost);
 
+  /// Rewrite a column's upper bound in place (must stay >= its lower bound).
+  /// With set_cost and set_rhs this is how a design model is edited between
+  /// solves instead of rebuilt (see SymmetricArcDesign::minimize_locality_within).
+  void set_upper(int col, double up);
+
   /// Rewrite a row's right-hand side in place. The row keeps its type and
   /// coefficients; incremental sweeps use this to move one bound between
   /// otherwise identical solves (see SymmetricArcDesign::set_locality_bound).

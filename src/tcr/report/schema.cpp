@@ -85,13 +85,13 @@ bool parse_run_file(const std::string& path, BenchRun* out, std::string* error,
       }
       return false;
     }
-    BenchRecord parsed;
-    parsed.point = *point;
+    BenchRecord record;
+    record.point = *point;
     const obs::Json* snapshot = rec.find("obs");
-    if (snapshot != nullptr) parsed.obs = *snapshot;
+    if (snapshot != nullptr) record.obs = *snapshot;
     const obs::Json* perf = rec.find("perf");
-    if (perf != nullptr) parsed.perf = *perf;
-    out->records.push_back(std::move(parsed));
+    if (perf != nullptr) record.perf = *perf;
+    out->records.push_back(std::move(record));
   }
   return true;
 }

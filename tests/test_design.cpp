@@ -14,6 +14,7 @@
 #include "tcr/metrics/worst_case.hpp"
 #include "tcr/routing/dor.hpp"
 #include "tcr/routing/general.hpp"
+#include "tcr/traffic/patterns.hpp"
 #include "tcr/traffic/sampler.hpp"
 
 namespace tcr {
@@ -281,6 +282,128 @@ TEST(FlowCrash, GarbageHintsNeverChangeTheAnswer) {
   const lp::Solution sol2 = lp::solve(m, opts, nullptr, &short_hints);
   ASSERT_EQ(sol2.status, lp::Status::Optimal);
   EXPECT_NEAR(sol2.objective, cold.objective, 1e-9 * (1 + std::abs(cold.objective)));
+}
+
+// Rows appended to a built model (cuts, the average-case stage-2 cap row)
+// must extend the cached hints with -1: lp::solve silently skips hints whose
+// size is not num_rows, which would drop the flow crash basis.
+TEST(FlowCrash, HintsFollowAppendedRows) {
+  auto counter = [](const char* name) {
+    return obs::Registry::instance().counter(name).value();
+  };
+  const Torus t(3);
+
+  SymmetricDesignConfig cut_cfg;
+  cut_cfg.worst_case_exact_block = false;
+  SymmetricArcDesign cuts(t, cut_cfg);
+  cuts.add_cut(tornado_permutation(t));
+  const std::size_t built = cuts.flow_crash_hints().basic_of_row.size();
+  std::vector<int> identity(static_cast<std::size_t>(t.num_nodes()));
+  for (int s = 0; s < t.num_nodes(); ++s) identity[static_cast<std::size_t>(s)] = s;
+  cuts.add_cut(identity);
+  const lp::CrashHints& grown = cuts.flow_crash_hints();
+  ASSERT_EQ(static_cast<int>(grown.basic_of_row.size()), cuts.model().num_rows());
+  EXPECT_EQ(grown.basic_of_row.size(), built + 1);
+  EXPECT_EQ(grown.basic_of_row.back(), -1);
+  std::int64_t attempts = counter("lp.crash.attempts");
+  std::int64_t rejected = counter("lp.crash.rejected");
+  ASSERT_EQ(cuts.solve().status, lp::Status::Optimal);
+  EXPECT_EQ(counter("lp.crash.attempts") - attempts, 1);
+  EXPECT_EQ(counter("lp.crash.rejected"), rejected);
+
+  // The stage-2 cap row of the average case. The hints are attempted; that
+  // the tight cap then leaves the crash basis infeasible (its cap slack
+  // negative, hence rejected) is a property of the basis, not of its size.
+  Rng rng(5);
+  SymmetricDesignConfig avg_cfg;
+  avg_cfg.objective = DesignObjective::AverageCase;
+  for (int i = 0; i < 3; ++i) avg_cfg.samples.push_back(rng.permutation(t.num_nodes()));
+  SymmetricArcDesign avg(t, avg_cfg);
+  const DesignResult stage1 = avg.solve();
+  ASSERT_EQ(stage1.status, lp::Status::Optimal);
+  const int rows = avg.model().num_rows();
+  avg.minimize_locality_within(stage1.objective * (1.0 + kLexicographicSlack));
+  ASSERT_EQ(avg.model().num_rows(), rows + 1);
+  EXPECT_EQ(static_cast<int>(avg.flow_crash_hints().basic_of_row.size()),
+            avg.model().num_rows());
+  attempts = counter("lp.crash.attempts");
+  ASSERT_EQ(avg.solve().status, lp::Status::Optimal);
+  EXPECT_EQ(counter("lp.crash.attempts") - attempts, 1);
+}
+
+// A design model is built once and edited: the lexicographic stages share
+// one model (stage 2 warm-starts from stage 1), and every cutting-plane
+// round appends to the same relaxation.
+TEST(DesignLifecycle, OneBuildPerDesign) {
+  auto& reg = obs::Registry::instance();
+  const bool timing = reg.timing_enabled();
+  reg.set_timing_enabled(true);
+  const obs::Timer& build = reg.timer("core.design.time.build");
+  const obs::Counter& accepted = reg.counter("lp.warmstart.accepted");
+  const Torus t(4);
+
+  const std::int64_t builds0 = build.count(), accepted0 = accepted.value();
+  const OptimalDesign opt = design_worst_case_optimal(t);
+  ASSERT_EQ(opt.status, lp::Status::Optimal);
+  EXPECT_EQ(build.count() - builds0, 1);
+  EXPECT_EQ(accepted.value() - accepted0, 1);
+
+  const std::int64_t builds1 = build.count();
+  const CuttingPlaneResult cp = design_worst_case_cutting_plane(t);
+  ASSERT_EQ(cp.status, lp::Status::Optimal);
+  EXPECT_GT(cp.rounds, 1);
+  EXPECT_EQ(build.count() - builds1, 1);
+  reg.set_timing_enabled(timing);
+}
+
+TEST(DesignLifecycle, LocalityStageCapsTheObjectiveColumn) {
+  // The worst-case stage-2 edit caps w through its upper bound, so the model
+  // keeps its shape and the stage-1 basis warm-starts the locality solve.
+  const Torus t(3);
+  SymmetricArcDesign wc(t, SymmetricDesignConfig{});
+  const DesignResult r1 = wc.solve();
+  ASSERT_EQ(r1.status, lp::Status::Optimal);
+  const int rows = wc.model().num_rows();
+  wc.minimize_locality_within(r1.objective);
+  const lp::Model& m = wc.model();
+  EXPECT_EQ(m.num_rows(), rows);
+  int capped = 0;
+  for (int j = 0; j < m.num_cols(); ++j) capped += m.upper(j) == r1.objective;
+  EXPECT_EQ(capped, 1);
+  const DesignResult r2 = wc.solve({}, &r1.basis);
+  ASSERT_EQ(r2.status, lp::Status::Optimal);
+  EXPECT_NE(r2.warm_start, "rejected");
+  EXPECT_NEAR(r2.objective, r2.avg_hops, 1e-9);  // the objective is now H_avg
+  EXPECT_LE(r2.avg_hops, r1.avg_hops + 1e-9);
+  EXPECT_NEAR(worst_case(wc.routing("wc")).gamma, r1.objective, 1e-6);
+}
+
+TEST(CuttingPlane, AddCutNeedsACutModelAndAPermutation) {
+  const Torus t(3);
+  SymmetricArcDesign exact(t, SymmetricDesignConfig{});
+  EXPECT_THROW(exact.add_cut(tornado_permutation(t)), Error);
+  SymmetricDesignConfig cfg;
+  cfg.worst_case_exact_block = false;
+  SymmetricArcDesign cuts(t, cfg);
+  const int rows = cuts.model().num_rows();
+  EXPECT_THROW(cuts.add_cut({0, 1, 2}), Error);
+  std::vector<int> out_of_range = tornado_permutation(t);
+  out_of_range[0] = t.num_nodes();
+  EXPECT_THROW(cuts.add_cut(out_of_range), Error);
+  EXPECT_EQ(cuts.model().num_rows(), rows);
+}
+
+TEST(AverageCaseDesign, RejectsMalformedSamples) {
+  const Torus t(3);
+  std::vector<int> out_of_range(static_cast<std::size_t>(t.num_nodes()), 0);
+  out_of_range[4] = t.num_nodes();
+  for (const std::vector<int>& bad : {std::vector<int>{0, 1, 2}, out_of_range}) {
+    EXPECT_THROW(design_average_case_optimal(t, {bad}), Error);
+    SymmetricDesignConfig cfg;
+    cfg.objective = DesignObjective::AverageCase;
+    cfg.samples = {bad};
+    EXPECT_THROW(SymmetricArcDesign design(t, cfg), Error);
+  }
 }
 
 TEST(FlowDecomposition, SplitsParallelFlows) {

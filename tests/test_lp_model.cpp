@@ -28,6 +28,19 @@ TEST(Model, ColumnAndRowBookkeeping) {
   EXPECT_DOUBLE_EQ(m.cost(x), 3.0);
 }
 
+TEST(Model, SetUpperEditsTheBoundInPlace) {
+  Model m;
+  const int x = m.add_col(1.0, kInf, 1.0);
+  m.set_upper(x, 2.5);
+  EXPECT_DOUBLE_EQ(m.upper(x), 2.5);
+  m.set_upper(x, 1.0);  // a fixed column is legal
+  EXPECT_DOUBLE_EQ(m.upper(x), 1.0);
+  EXPECT_THROW(m.set_upper(x, 0.5), Error);  // below the lower bound
+  EXPECT_THROW(m.set_upper(x, std::numeric_limits<double>::quiet_NaN()), Error);
+  EXPECT_THROW(m.set_upper(x + 1, 3.0), Error);
+  EXPECT_DOUBLE_EQ(m.upper(x), 1.0);
+}
+
 TEST(Model, ZeroCoefficientsAreDropped) {
   Model m;
   const int x = m.add_col(0, 1, 0);

@@ -94,6 +94,26 @@ TEST(MinimalAvgDesign, StaysMinimalAndBeatsRommSamples) {
   EXPECT_GT(res.objective, 0.5 * romm_mean);
 }
 
+TEST(PathDesign, RejectsMalformedSamples) {
+  // A short sample used to be read past its end; an out-of-range
+  // destination used to wrap around the torus.
+  const Torus t(3);
+  std::vector<int> out_of_range(static_cast<std::size_t>(t.num_nodes()), 0);
+  out_of_range[4] = -1;
+  for (const std::vector<int>& bad : {std::vector<int>{0, 1, 2}, out_of_range}) {
+    EXPECT_THROW(design_two_turn_avg(t, {bad}), Error);
+    EXPECT_THROW(design_minimal_avg(t, {bad}), Error);
+  }
+}
+
+TEST(PathDesign, ReportsTheLocalityOfTheDesignedRouting) {
+  const Torus t(4);
+  const auto res = design_two_turn(t);
+  ASSERT_EQ(res.status, lp::Status::Optimal);
+  EXPECT_NEAR(res.avg_hops, res.routing.avg_path_length(), 1e-6);
+  EXPECT_NEAR(res.locality_norm, res.routing.normalized_locality(), 1e-6);
+}
+
 TEST(PathDesign, LexicographicSecondStagePreservesObjective) {
   const Torus t(4);
   PathDesignConfig cfg;
