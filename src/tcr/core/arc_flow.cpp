@@ -298,7 +298,7 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("rows", model_.num_rows());
     t.attr("cols", model_.num_cols());
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
-    sol = lp::solve(model_, opts, warm, &flow_crash_hints());
+    sol = solver_.solve(model_, opts, warm, &flow_crash_hints());
     t.attr("status", lp::to_string(sol.status));
     t.attr("warm_start", sol.warm_start);
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));

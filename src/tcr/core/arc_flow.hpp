@@ -88,7 +88,9 @@ class SymmetricArcDesign {
   /// Solve the LP. The designed routing (path decomposition of the optimal
   /// flows) is available via routing() when status == Optimal. `warm`
   /// optionally seeds the simplex with a previous solve's basis (see
-  /// lp::solve); it pays off when only the locality bound moved since.
+  /// lp::solve); it pays off when only the locality bound moved since, and
+  /// the previous solve's LU carries over when `warm` is its basis (see
+  /// lp::Solver).
   DesignResult solve(const lp::SimplexOptions& opts = {},
                      const lp::Basis* warm = nullptr);
 
@@ -121,7 +123,7 @@ class SymmetricArcDesign {
   /// columns of the side blocks are nominated for one row each. The hints
   /// depend only on the constraint structure, never on right-hand sides, so
   /// they are computed once and cached; rows appended since (cuts, the
-  /// stage-2 cap row) keep their slack (-1). solve() passes them to lp::solve
+  /// stage-2 cap row) keep their slack (-1). solve() passes them to the solver
   /// on every call (they only matter when no warm basis is adopted).
   const lp::CrashHints& flow_crash_hints();
 
@@ -151,6 +153,7 @@ class SymmetricArcDesign {
   const Torus& torus_;
   SymmetricDesignConfig config_;
   lp::Model model_;
+  lp::Solver solver_;  // solves model_, keeping its LU between edits
   int num_flow_vars_ = 0;
   std::vector<int> var_of_;          // (e-1)*C + c -> folded variable id
   std::vector<double> orbit_size_;   // per folded variable

@@ -73,7 +73,7 @@ class PathLP {
   }
 
   DesignResult solve(const lp::SimplexOptions& opts, const lp::Basis* warm) {
-    lp::Solution sol = lp::solve(model_, opts, warm);
+    lp::Solution sol = solver_.solve(model_, opts, warm);
     double hops = 0.0;
     if (sol.status == lp::Status::Optimal) {
       x_ = std::move(sol.x);
@@ -146,6 +146,7 @@ class PathLP {
 
   const Torus& torus_;
   Model model_;
+  lp::Solver solver_;  // solves model_, keeping its LU between edits
   // Every family path for every commodity, with its (orbit-folded) variable.
   std::vector<std::vector<std::pair<Path, int>>> by_commodity_;
   std::vector<double> locality_cost_;  // per variable: orbit hops / N

@@ -9,8 +9,9 @@
 //     the last place, deterministically from a seed — the numerical
 //     sensitivity probe for the design LPs;
 //   * simplex test hooks: force refactorization failures, inject drift into
-//     product-form eta pivots, or corrupt the extracted solution, to seed the
-//     breakdowns each recovery-ladder stage must rescue (lp/simplex.cpp
+//     product-form eta pivots, make a reused factorization stale, or corrupt
+//     the extracted solution, to seed the breakdowns each recovery-ladder
+//     stage must rescue (lp/simplex.cpp
 //     consults the installed hooks; production pays one atomic pointer load);
 //   * simulator fault plans: take links down or stall credits for cycle
 //     windows, to drive tcr::sim through deadlock and deadlock-near-miss
@@ -64,12 +65,19 @@ struct SimplexHooks {
   std::atomic<long> stall_refactors{0};
   double stall_ms = 0.0;
   std::atomic<long> stall_after{0};
+  /// While > 0, each factorization an lp::Solver reuses from its previous
+  /// solve is swapped for the LU of the crash basis — a retained LU that no
+  /// longer factors the basis it is used for — consuming one unit per
+  /// reuse. The solve must still end certified (fresh refactorizations or
+  /// the recovery ladder absorb it); meaningful with certification on.
+  std::atomic<long> stale_factors{0};
 
   // Injection counts observed (for test assertions).
   std::atomic<long> refactor_failures_injected{0};
   std::atomic<long> eta_drifts_injected{0};
   std::atomic<long> corruptions_injected{0};
   std::atomic<long> stalls_injected{0};
+  std::atomic<long> stale_factors_injected{0};
 
   /// Consume one unit of an armed budget; returns true when the fault fires.
   static bool consume(std::atomic<long>& budget) {
@@ -82,7 +90,8 @@ struct SimplexHooks {
 };
 
 /// Currently installed hooks, or nullptr (the default). The solver checks
-/// this at refactorization, eta creation and solution extraction.
+/// this at refactorization, factorization reuse, eta creation and solution
+/// extraction.
 SimplexHooks* simplex_hooks() noexcept;
 
 /// Install (or, with nullptr, clear) the process-wide hooks. Tests should

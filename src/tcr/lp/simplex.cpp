@@ -1,10 +1,14 @@
 #include "tcr/lp/simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tcr/fault/fault.hpp"
@@ -22,6 +26,18 @@
 #include "tcr/util/rng.hpp"
 
 namespace tcr::lp {
+
+namespace detail {
+
+// What a Solver keeps between solves (see simplex.hpp).
+struct SolverState {
+  StandardForm sf;
+  SparseMatrix a;
+  SparseLU lu;             // factors the columns `basic` of `a`
+  std::vector<int> basic;  // the final basis of the retained solve
+};
+
+}  // namespace detail
 
 namespace {
 
@@ -43,6 +59,9 @@ struct SimplexMetrics {
       obs::Registry::instance().counter("lp.simplex.phase1_iterations");
   obs::Counter& refactorizations =
       obs::Registry::instance().counter("lp.simplex.refactorizations");
+  // Warm starts that adopted an lp::Solver's retained LU instead of
+  // refactorizing (see Solver in simplex.hpp).
+  obs::Counter& factor_reuses = obs::Registry::instance().counter("lp.simplex.factor_reuses");
   obs::Counter& degenerate_pivots =
       obs::Registry::instance().counter("lp.simplex.degenerate_pivots");
   obs::Counter& bland_activations =
@@ -134,6 +153,7 @@ using detail::kAtLower;
 using detail::kAtUpper;
 using detail::kBasic;
 using detail::kFree;
+using detail::SolverState;
 using detail::StandardForm;
 using detail::VarStatus;
 
@@ -146,16 +166,21 @@ struct Eta {
 
 class RevisedSimplex {
  public:
-  RevisedSimplex(StandardForm sf, const SimplexOptions& opt, const Basis* warm = nullptr,
-                 const CrashHints* crash = nullptr)
-      : sf_(std::move(sf)),
+  // `state` holds the standard form and its matrix. With `lu_factors_warm`
+  // its LU already factors `warm`'s basic list of that matrix, and adopting
+  // the warm basis skips the refactorization.
+  RevisedSimplex(SolverState state, bool lu_factors_warm, const SimplexOptions& opt,
+                 const Basis* warm, const CrashHints* crash)
+      : sf_(std::move(state.sf)),
         opt_(opt),
         warm_(warm),
         crash_(crash),
         m_(sf_.m),
         n_(sf_.ntotal),
-        a_(sf_.m, sf_.ntotal, sf_.triplets),
-        rng_(opt.seed) {
+        a_(std::move(state.a)),
+        rng_(opt.seed),
+        lu_(std::move(state.lu)),
+        lu_factors_warm_(lu_factors_warm) {
     restore_crash_basis();
     max_iters_ = opt_.max_iterations > 0 ? opt_.max_iterations
                                          : 200L * (m_ + n_) + 10000L;
@@ -179,6 +204,13 @@ class RevisedSimplex {
     return sol;
   }
 
+  // The state a Solver keeps after an Optimal run: the standard form, the
+  // matrix, and the LU, which factors the final basis (an optimal verdict
+  // is only reached on a fresh factorization).
+  SolverState release() && {
+    return {std::move(sf_), std::move(a_), std::move(lu_), std::move(basic_)};
+  }
+
  private:
   // Adopt a starting basis, then run the dual phase or phase 1 as the basis
   // requires, then phase 2. Fills the per-phase iteration counts of `sol`
@@ -195,12 +227,9 @@ class RevisedSimplex {
       // Cold start with combinatorial crash hints: synthesize a basis from
       // them and push it through the same adoption machinery as a warm basis
       // (separate lp.crash.* accounting; never routed to the dual phase).
-      const Basis cb = crash_basis_from_hints(*crash_);
-      if (!cb.empty()) {
-        adopting_crash_ = true;
-        warm = apply_warm(cb);
-        adopting_crash_ = false;
-      }
+      adopting_crash_ = true;
+      warm = apply_warm(crash_basis_from_hints(*crash_));
+      adopting_crash_ = false;
     }
     if (warm == WarmAdopt::kRejected && !refactorize()) return Status::Numerical;
 
@@ -456,7 +485,8 @@ class RevisedSimplex {
   // column (in range, not fixed, not claimed by an earlier row), the row's
   // crash aux column otherwise. The result goes through apply_warm() like
   // any supplied basis, so inconsistent or singular hints degrade to the
-  // all-slack crash instead of failing the solve.
+  // all-slack crash instead of failing the solve. Hints sized for another
+  // row count yield an empty basis, which apply_warm() counts as rejected.
   Basis crash_basis_from_hints(const CrashHints& hints) const {
     Basis b;
     if (static_cast<int>(hints.basic_of_row.size()) != m_) return b;
@@ -483,6 +513,7 @@ class RevisedSimplex {
   // hands that delta to the row's slack or artificial instead, which keeps
   // the rest of the basis and leaves at most a short phase 1.
   WarmAdopt apply_warm(const Basis& warm) {
+    const bool reuse = std::exchange(lu_factors_warm_, false) && !adopting_crash_;
     begin_adoption();
     if (static_cast<int>(warm.basic.size()) != m_ ||
         static_cast<int>(warm.stat.size()) != n_) {
@@ -557,7 +588,9 @@ class RevisedSimplex {
       return true;
     };
 
-    if (!refactorize()) {
+    if (reuse) {
+      reuse_factors();
+    } else if (!refactorize()) {
       // Singular: patch each unpivotable position and try once more.
       patched = true;
       bool repairable = true;
@@ -823,6 +856,21 @@ class RevisedSimplex {
     met_.lu_fill_nnz.record(static_cast<double>(lu_.factor_nnz()));
     compute_basic_values();
     return true;
+  }
+
+  // Stand-in for refactorize() when the LU a Solver retained already
+  // factors the adopted basis of this matrix: the same empty eta file and
+  // the same basic values, without factoring again.
+  void reuse_factors() {
+    met_.factor_reuses.add(1);
+    etas_.clear();
+    if (auto* h = fault::simplex_hooks()) {
+      if (fault::SimplexHooks::consume(h->stale_factors)) {
+        h->stale_factors_injected.fetch_add(1, std::memory_order_relaxed);
+        lu_.factor(a_, sf_.basis0);
+      }
+    }
+    compute_basic_values();
   }
 
   void compute_basic_values() {
@@ -1445,8 +1493,10 @@ class RevisedSimplex {
   }
 
   void extract(Solution& sol) {
-    // One clean refactorization for final values.
-    refactorize();
+    // An optimal verdict stands only on an empty eta file, so the LU
+    // factors the final basis: recompute the values on it.
+    TCR_ASSERT(etas_.empty(), "optimal verdict on an updated basis");
+    compute_basic_values();
     std::vector<double> x(static_cast<std::size_t>(n_), 0.0);
     for (int j = 0; j < n_; ++j)
       if (stat_[j] != kBasic) x[j] = nonbasic_value(j);
@@ -1506,54 +1556,67 @@ class RevisedSimplex {
   std::vector<double> devex_;
   std::vector<double> dw_;  // dual DEVEX row weights (optimize_dual)
   SparseLU lu_;
+  bool lu_factors_warm_ = false;  // consumed by the first apply_warm()
   std::vector<Eta> etas_;
   std::vector<double> col_buf_;
 };
 
-}  // namespace
+// Same standard-form matrix, aux-column layout included: the triplets (aux
+// columns are appended ones), compared bit for bit, and which columns are
+// artificial.
+bool same_matrix(const StandardForm& x, const StandardForm& y) {
+  return x.m == y.m && x.ntotal == y.ntotal && x.artificial == y.artificial &&
+         std::equal(x.triplets.begin(), x.triplets.end(), y.triplets.begin(),
+                    y.triplets.end(), [](const Triplet& p, const Triplet& q) {
+                      return p.row == q.row && p.col == q.col &&
+                             std::bit_cast<std::uint64_t>(p.value) ==
+                                 std::bit_cast<std::uint64_t>(q.value);
+                    });
+}
 
-Solution solve(const Model& model, const SimplexOptions& options, const Basis* warm,
-               const CrashHints* crash) {
-  TCR_REQUIRE(model.num_cols() > 0, "model has no variables");
+// A fresh standard form of `model` and its matrix, nothing factorized.
+SolverState fresh_state(const Model& model) {
+  SolverState st;
+  st.sf = detail::build_standard_form(model);
+  st.a = SparseMatrix(st.sf.m, st.sf.ntotal, st.sf.triplets);
+  return st;
+}
 
-  const CertifyOptions cert_opts = CertifyOptions::from_solver_tols(
-      options.feas_tol, options.opt_tol, kCertifyTolFactor);
+// An attempt is accepted unless it broke down numerically or produced an
+// "optimal" point whose independent certificate fails. Infeasible,
+// Unbounded and IterationLimit verdicts stand: re-solving cannot change
+// what the model is, only how it was pivoted.
+bool accept(const Model& model, const SimplexOptions& options, Solution& sol) {
+  if (sol.status == Status::Numerical) return false;
+  if (sol.status != Status::Optimal) return true;
+  if (!options.certify) return true;
+  sol.certificate = certify(model, sol,
+                            CertifyOptions::from_solver_tols(options.feas_tol, options.opt_tol,
+                                                             kCertifyTolFactor));
+  return sol.certificate.pass;
+}
 
+std::string describe(const Solution& sol) {
+  if (sol.status == Status::Optimal) {
+    return sol.certificate.checked ? sol.certificate.summary()
+                                   : std::string("optimal (uncertified)");
+  }
+  std::string d = to_string(sol.status);
+  if (!sol.note.empty()) d += " (" + sol.note + ")";
+  return d;
+}
+
+// The staged recovery ladder behind an unaccepted first attempt `best`
+// (see lp::solve). Every sparse stage solves on fresh state.
+Solution recover(const Model& model, const SimplexOptions& options, const CrashHints* crash,
+                 Solution best) {
   // Crash hints ride along to every sparse attempt (they only kick in when
   // no warm basis is adopted); the dense fallback stays hint-free — its
   // value is independence from the revised solver's machinery.
   auto run_attempt = [crash](const Model& mdl, const SimplexOptions& o, const Basis* w) {
-    auto sf = detail::build_standard_form(mdl);
-    RevisedSimplex simplex(std::move(sf), o, w, crash);
-    return simplex.run();
+    return RevisedSimplex(fresh_state(mdl), false, o, w, crash).run();
   };
 
-  // An attempt is accepted unless it broke down numerically or produced an
-  // "optimal" point whose independent certificate fails. Infeasible,
-  // Unbounded and IterationLimit verdicts stand: re-solving cannot change
-  // what the model is, only how it was pivoted.
-  auto accept = [&](Solution& sol) {
-    if (sol.status == Status::Numerical) return false;
-    if (sol.status != Status::Optimal) return true;
-    if (!options.certify) return true;
-    sol.certificate = certify(model, sol, cert_opts);
-    return sol.certificate.pass;
-  };
-
-  auto describe = [](const Solution& sol) {
-    if (sol.status == Status::Optimal) {
-      return sol.certificate.checked ? sol.certificate.summary()
-                                     : std::string("optimal (uncertified)");
-    }
-    std::string d = to_string(sol.status);
-    if (!sol.note.empty()) d += " (" + sol.note + ")";
-    return d;
-  };
-
-  Solution best = run_attempt(model, options, warm);
-  if (accept(best)) return best;
-
-  // ---- staged recovery ladder ----
   auto& met = SimplexMetrics::get();
   auto& rec = RecoveryMetrics::get();
   std::string history = "first attempt: " + describe(best);
@@ -1635,7 +1698,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
     }
     rec.attempts.add(1);
     met.retries.add(1);
-    const bool rescued_here = accept(cand);
+    const bool rescued_here = accept(model, options, cand);
     stage_span.attr("status", to_string(cand.status));
     stage_span.attr("rescued", rescued_here);
     stage_span.end();
@@ -1651,6 +1714,44 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
   rec.exhausted.add(1);
   best.note = "recovery ladder exhausted: " + history;
   return best;
+}
+
+}  // namespace
+
+Solver::Solver() = default;
+Solver::~Solver() = default;
+Solver::Solver(Solver&&) noexcept = default;
+Solver& Solver::operator=(Solver&&) noexcept = default;
+
+Solution Solver::solve(const Model& model, const SimplexOptions& options, const Basis* warm,
+                       const CrashHints* crash) {
+  TCR_REQUIRE(model.num_cols() > 0, "model has no variables");
+  // The Solver stays empty unless this solve's first attempt is accepted as
+  // Optimal. The retained matrix and LU carry over only under the reuse
+  // rule; otherwise they are freed before the new matrix is built.
+  std::unique_ptr<SolverState> kept = std::move(state_);
+  SolverState st;
+  st.sf = detail::build_standard_form(model);
+  const bool reuse = kept != nullptr && warm != nullptr && warm->basic == kept->basic &&
+                     same_matrix(kept->sf, st.sf);
+  if (reuse) {
+    st.a = std::move(kept->a);
+    st.lu = std::move(kept->lu);
+  }
+  kept.reset();
+  if (!reuse) st.a = SparseMatrix(st.sf.m, st.sf.ntotal, st.sf.triplets);
+
+  RevisedSimplex simplex(std::move(st), reuse, options, warm, crash);
+  Solution first = simplex.run();
+  if (!accept(model, options, first)) return recover(model, options, crash, std::move(first));
+  if (first.status == Status::Optimal)
+    state_ = std::make_unique<SolverState>(std::move(simplex).release());
+  return first;
+}
+
+Solution solve(const Model& model, const SimplexOptions& options, const Basis* warm,
+               const CrashHints* crash) {
+  return Solver().solve(model, options, warm, crash);
 }
 
 }  // namespace tcr::lp

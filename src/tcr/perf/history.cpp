@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "tcr/perf/provenance.hpp"
 #include "tcr/report/json_reader.hpp"
 
 namespace tcr::perf {
@@ -243,6 +244,62 @@ bool entries_from_google_benchmark(const obs::Json& doc, std::vector<HistoryEntr
     if (mins[name].second > 0.0) e.quantities["perf.cpu_ns"] = mins[name].second;
     out->push_back(std::move(e));
   }
+  return true;
+}
+
+bool entry_from_perfbench(const std::string& stdout_text, HistoryEntry* out,
+                          std::string* error) {
+  auto fail = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  };
+  std::string workload, seed, digest, last;
+  std::istringstream in(stdout_text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    last = line;
+    std::istringstream words(line);
+    std::string first, value;
+    words >> first >> value;
+    if (first == "workload" && workload.empty()) {
+      workload = value;
+      std::string seed_word;
+      if (words >> seed_word >> seed && seed_word == "seed" && !seed.empty() &&
+          seed.back() == ':') {
+        seed.pop_back();
+      } else {
+        seed.clear();
+      }
+    } else if (first == "digest" && digest.empty()) {
+      digest = value;
+    }
+  }
+  if (workload.empty() || seed.empty()) return fail("no 'workload W seed S:' line");
+  if (digest.empty()) return fail("no 'digest' line");
+  obs::Json result;
+  std::string parse_error;
+  if (!report::parse_json(last, &result, &parse_error)) {
+    return fail("last line is not a result: " + parse_error);
+  }
+  const obs::Json* metrics = result.find("metrics");
+  if (metrics == nullptr || metrics->size() == 0) return fail("result has no metrics");
+
+  out->bench = "perfbench";
+  out->quantities.clear();
+  for (const auto& [name, metric] : metrics->items()) {
+    const obs::Json* value = metric.find("value");
+    if (value == nullptr || !value->is_number()) return fail("metric " + name + " has no value");
+    out->quantities[name] = value->as_number();
+  }
+  const bool traced = out->quantities.count("request_p50_s") == 0;
+  obs::Json params = obs::Json::object();
+  params.set("workload", workload).set("seed", seed).set("trace", traced ? "1" : "0");
+  out->config = canonical_config(params);
+  out->source.clear();
+  out->provenance = provenance_json();
+  out->provenance.set("digest", digest);
+  out->provenance.set("correct", result.find("correct") != nullptr &&
+                                     result.find("correct")->as_bool());
   return true;
 }
 

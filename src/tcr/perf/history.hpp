@@ -60,6 +60,18 @@ bool entry_from_run(const report::BenchRun& run, HistoryEntry* out, std::string*
 bool entries_from_google_benchmark(const obs::Json& doc, std::vector<HistoryEntry>* out,
                                    std::string* error);
 
+/// Entry from the standard output of one perfbench run (`python3
+/// perfbench/run.py ... > FILE`): its "workload W seed S:" line names the
+/// workload and seed, its "digest D" line the output digest, and its last
+/// line — the result JSON — supplies the quantities, one per metric, under
+/// the metric's own name. Bench "perfbench", config "seed=S,trace=T,
+/// workload=W", T being 1 when the result carries the per-layer metrics of
+/// --trace 1 instead of the end-to-end ones. Provenance: this binary's
+/// provenance_json() plus the run's "digest" and "correct" flag. False (with
+/// *error) when a piece is missing or the last line is not a result.
+bool entry_from_perfbench(const std::string& stdout_text, HistoryEntry* out,
+                          std::string* error);
+
 /// Load a history file (JSON-lines of perf_entry records, file order
 /// preserved — append order is the trajectory). A missing file yields an
 /// empty history and true when `allow_missing`.

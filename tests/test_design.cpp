@@ -284,9 +284,34 @@ TEST(FlowCrash, GarbageHintsNeverChangeTheAnswer) {
   EXPECT_NEAR(sol2.objective, cold.objective, 1e-9 * (1 + std::abs(cold.objective)));
 }
 
+// Hints sized for another row count are no crash basis: the solve counts
+// them as one rejected crash attempt and then runs exactly the cold solve.
+TEST(FlowCrash, MisSizedHintsCountAsRejected) {
+  auto counter = [](const char* name) {
+    return obs::Registry::instance().counter(name).value();
+  };
+  const Torus t(3);
+  SymmetricArcDesign design(t, SymmetricDesignConfig{});
+  const lp::Model& m = design.model();
+  const lp::Solution cold = lp::solve(m);
+  ASSERT_EQ(cold.status, lp::Status::Optimal);
+
+  lp::CrashHints short_hints = design.flow_crash_hints();
+  short_hints.basic_of_row.pop_back();
+  const std::int64_t attempts = counter("lp.crash.attempts");
+  const std::int64_t rejected = counter("lp.crash.rejected");
+  const lp::Solution sol = lp::solve(m, {}, nullptr, &short_hints);
+  ASSERT_EQ(sol.status, lp::Status::Optimal);
+  EXPECT_EQ(counter("lp.crash.attempts") - attempts, 1);
+  EXPECT_EQ(counter("lp.crash.rejected") - rejected, 1);
+  EXPECT_EQ(sol.warm_start, "cold");
+  EXPECT_EQ(sol.iterations, cold.iterations);
+  EXPECT_EQ(sol.objective, cold.objective);
+}
+
 // Rows appended to a built model (cuts, the average-case stage-2 cap row)
-// must extend the cached hints with -1: lp::solve silently skips hints whose
-// size is not num_rows, which would drop the flow crash basis.
+// must extend the cached hints with -1: lp::solve rejects hints whose size
+// is not num_rows, which would drop the flow crash basis.
 TEST(FlowCrash, HintsFollowAppendedRows) {
   auto counter = [](const char* name) {
     return obs::Registry::instance().counter(name).value();

@@ -2,6 +2,7 @@
 //  * ULP model perturbation is deterministic and keeps problems solvable;
 //  * each recovery-ladder stage demonstrably rescues a seeded breakdown;
 //  * eta drift injected into the primal and the dual loop ends certified;
+//  * a stale factorization reused by lp::Solver ends certified;
 //  * corrupted "optimal" extractions are caught by the certificate and
 //    re-solved;
 //  * simulator link-down faults deadlock the drain, transient global credit
@@ -270,6 +271,31 @@ TEST(FaultLadder, EtaDriftInDualPhaseEndsCertified) {
   EXPECT_GT(faults.hooks().eta_drifts_injected.load(), 0);
 }
 
+// ---- persistent solver state --------------------------------------------
+
+// A Solver re-solving an rhs-edited model from its retained optimum reuses
+// its LU. Swapping that LU for a stale one (the crash basis's) must not
+// survive into the answer: the solve still ends on the certified optimum.
+TEST(FaultReuse, StaleReusedFactorsEndCertified) {
+  Model m = chain_model(120);
+  lp::Solver solver;
+  const auto base = solver.solve(m);
+  ASSERT_EQ(base.status, Status::Optimal);
+  for (int i = 0; i < m.num_rows(); i += 3) m.set_rhs(i, 1.4);
+  const auto cold = lp::solve(m);
+  ASSERT_EQ(cold.status, Status::Optimal);
+
+  fault::ScopedSimplexFaults faults;
+  faults.hooks().stale_factors = 1;
+  const long reuses0 = counter_value("lp.simplex.factor_reuses");
+  const auto warm = solver.solve(m, {}, &base.basis);
+  ASSERT_EQ(warm.status, Status::Optimal) << warm.note;
+  EXPECT_TRUE(warm.certificate.ok()) << warm.certificate.summary();
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-7 * (1 + std::abs(cold.objective)));
+  EXPECT_EQ(counter_value("lp.simplex.factor_reuses") - reuses0, 1);
+  EXPECT_EQ(faults.hooks().stale_factors_injected.load(), 1);
+}
+
 // ---- simulator faults --------------------------------------------------
 
 TEST(FaultSim, PermanentLinkDownDeadlocksTheDrain) {
@@ -423,6 +449,41 @@ TEST(FaultStress, WarmSweepSurvivesInjection) {
     EXPECT_TRUE(faulted[i].certificate.pass) << faulted[i].certificate.summary();
     EXPECT_NEAR(faulted[i].capacity_fraction, clean[i].capacity_fraction, 1e-8)
         << "point " << i;
+  }
+}
+
+// Enabled by TCR_FAULT_STRESS=1: warm sweeps through the persistent solver
+// (each SymmetricArcDesign owns an lp::Solver, so every post-head point
+// reuses the previous point's LU) with stale factorizations and refactor
+// failures injected at several budgets; every point must still match a
+// fault-free sweep with a passing certificate.
+TEST(FaultStress, PersistentSolverSweepSurvivesStaleFactors) {
+  const char* enabled = std::getenv("TCR_FAULT_STRESS");
+  if (enabled == nullptr || std::string(enabled) == "0") {
+    GTEST_SKIP() << "set TCR_FAULT_STRESS=1 to run the fault stress matrix";
+  }
+  const Torus torus(4);
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 7);
+  SweepConfig cfg;
+  cfg.warm_start = true;
+  cfg.chains = 1;
+  const auto clean = worst_case_tradeoff(torus, grid, {}, nullptr, cfg);
+
+  for (long budget = 1; budget <= 6; ++budget) {
+    fault::ScopedSimplexFaults faults;
+    faults.hooks().stale_factors = budget;
+    faults.hooks().fail_refactors = budget % 3;
+    const auto faulted = worst_case_tradeoff(torus, grid, {}, nullptr, cfg);
+    EXPECT_GT(faults.hooks().stale_factors_injected.load(), 0) << "budget " << budget;
+    ASSERT_EQ(faulted.size(), clean.size());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      ASSERT_TRUE(clean[i].solved()) << "clean point " << i << ": " << clean[i].note;
+      ASSERT_TRUE(faulted[i].solved())
+          << "budget " << budget << " point " << i << ": " << faulted[i].note;
+      EXPECT_TRUE(faulted[i].certificate.pass) << faulted[i].certificate.summary();
+      EXPECT_NEAR(faulted[i].capacity_fraction, clean[i].capacity_fraction, 1e-8)
+          << "budget " << budget << " point " << i;
+    }
   }
 }
 

@@ -5,14 +5,19 @@
 // lp.warmstart.* accounting — including for deliberately stale, singular,
 // and garbage bases. The sweep-level tests pin the chain semantics of
 // SweepConfig: warm and cold sweeps agree to 1e-8 and parallel sweeps are
-// bitwise-identical to serial ones.
+// bitwise-identical to serial ones. The SolverReuse tests pin lp::Solver's
+// reuse rule: a retained LU changes no bit of any answer, saves the
+// adoption and extraction factorizations, and is refused whenever the
+// matrix or the basis it factors has changed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "tcr/core/arc_flow.hpp"
 #include "tcr/core/tradeoff.hpp"
 #include "tcr/graph/torus.hpp"
 #include "tcr/lp/certify.hpp"
@@ -488,6 +493,199 @@ TEST(DualRestart, ParallelDualSweepBitwiseMatchesSerial) {
               0)
         << "point " << i;
   }
+}
+
+// ---- lp::Solver: the LU carried between in-place edits ----------------
+
+std::int64_t counter(const char* name) { return obs::Registry::instance().counter(name).value(); }
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_same_basis(const Basis& a, const Basis& b, const std::string& what) {
+  EXPECT_EQ(a.basic, b.basic) << what;
+  EXPECT_EQ(a.stat, b.stat) << what;
+}
+
+void expect_same_solution(const Solution& a, const Solution& b, const std::string& what) {
+  EXPECT_EQ(a.status, b.status) << what;
+  EXPECT_TRUE(same_bits(a.objective, b.objective)) << what << ": " << a.objective << " vs "
+                                                   << b.objective;
+  EXPECT_TRUE(same_bits(a.x, b.x)) << what;
+  EXPECT_TRUE(same_bits(a.duals, b.duals)) << what;
+  EXPECT_TRUE(same_bits(a.reduced, b.reduced)) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+  EXPECT_EQ(a.dual_iterations, b.dual_iterations) << what;
+  EXPECT_EQ(a.warm_start, b.warm_start) << what;
+  expect_same_basis(a.basis, b.basis, what);
+}
+
+void expect_design_matches(const DesignResult& d, const Solution& s, const std::string& what) {
+  EXPECT_EQ(d.status, s.status) << what;
+  EXPECT_TRUE(same_bits(d.objective, s.objective)) << what;
+  EXPECT_EQ(d.iterations, s.iterations) << what;
+  EXPECT_EQ(d.dual_iterations, s.dual_iterations) << what;
+  EXPECT_EQ(d.warm_start, s.warm_start) << what;
+  expect_same_basis(d.basis, s.basis, what);
+}
+
+// One warm locality sweep walked three ways from the same bases: through
+// the design (its own Solver), through a standalone Solver on a copy of the
+// model edited with set_rhs, and through one-shot lp::solve. All three must
+// agree bit for bit, and both Solvers must reuse their LU at every point
+// after the first.
+void expect_sweep_matches_one_shot(const Torus& torus, SymmetricDesignConfig cfg,
+                                   const std::vector<double>& grid, const std::string& what) {
+  const double hmin = torus.mean_min_distance();
+  cfg.locality_equals = grid[0] * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  Model m = design.model();
+  const CrashHints hints = design.flow_crash_hints();
+  Solver solver;
+  Basis warm;
+  const std::int64_t reuses0 = counter("lp.simplex.factor_reuses");
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::string at = what + " point " + std::to_string(i);
+    design.set_locality_bound(grid[i] * hmin);
+    for (int r = 0; r < m.num_rows(); ++r) m.set_rhs(r, design.model().rhs(r));
+    const Basis* w = warm.empty() ? nullptr : &warm;
+
+    const Solution one_shot = solve(m, {}, w, &hints);
+    ASSERT_EQ(one_shot.status, Status::Optimal) << at << ": " << one_shot.note;
+    EXPECT_TRUE(one_shot.certificate.pass) << at << ": " << one_shot.certificate.summary();
+    if (w != nullptr) {
+      EXPECT_EQ(one_shot.warm_start, "accepted") << at;
+    }
+    expect_same_solution(solver.solve(m, {}, w, &hints), one_shot, at + " (Solver)");
+    expect_design_matches(design.solve({}, w), one_shot, at + " (design)");
+    warm = one_shot.basis;
+  }
+  EXPECT_EQ(counter("lp.simplex.factor_reuses") - reuses0,
+            2 * static_cast<std::int64_t>(grid.size() - 1))
+      << what;
+}
+
+TEST(SolverReuse, WarmSweepsMatchOneShotSolvesBitwise) {
+  const std::vector<double> grid = {1.2, 1.45, 1.7, 1.95, 1.6};
+  for (const int k : {4, 5}) {
+    expect_sweep_matches_one_shot(Torus(k), {}, grid, "worst case k=" + std::to_string(k));
+  }
+  const Torus torus(4);
+  Rng rng(515);
+  SymmetricDesignConfig avg;
+  avg.objective = DesignObjective::AverageCase;
+  for (int s = 0; s < 3; ++s) avg.samples.push_back(rng.permutation(torus.num_nodes()));
+  expect_sweep_matches_one_shot(torus, avg, grid, "average case k=4");
+}
+
+// The factorizations the retained LU saves: the one that adopts the warm
+// basis and the one extraction used to make. Re-solving an unchanged model
+// from its own optimum needs none at all; an rhs-edit point keeps only the
+// factorizations of its dual pivot loop.
+TEST(SolverReuse, WarmRhsEditPointSkipsTwoFactorizations) {
+  const Torus torus(4);
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.locality_equals = 1.3 * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  const DesignResult head = design.solve();
+  ASSERT_EQ(head.status, Status::Optimal);
+
+  std::int64_t before = counter("lp.simplex.refactorizations");
+  const DesignResult same = design.solve({}, &head.basis);
+  ASSERT_EQ(same.status, Status::Optimal);
+  EXPECT_EQ(counter("lp.simplex.refactorizations") - before, 0)
+      << "re-solve from the retained optimum (2 before the Solver kept its LU)";
+
+  design.set_locality_bound(1.5 * hmin);
+  before = counter("lp.simplex.refactorizations");
+  const Solution one_shot = solve(design.model(), {}, &same.basis, &design.flow_crash_hints());
+  const std::int64_t one_shot_refactors = counter("lp.simplex.refactorizations") - before;
+  before = counter("lp.simplex.refactorizations");
+  const DesignResult edited = design.solve({}, &same.basis);
+  const std::int64_t reused_refactors = counter("lp.simplex.refactorizations") - before;
+  ASSERT_EQ(edited.status, Status::Optimal);
+  EXPECT_GT(edited.dual_iterations, 0);
+  EXPECT_EQ(edited.iterations, one_shot.iterations);
+  // 4 before the Solver kept its LU: adoption, two in the dual loop (one
+  // refactor_every flush, one confirmation), extraction.
+  EXPECT_EQ(reused_refactors, 2);
+  EXPECT_EQ(one_shot_refactors - reused_refactors, 1) << "the adoption factorization";
+}
+
+// The reuse rule refuses a retained LU whenever it may not factor the new
+// basis matrix: after an appended cut row, after an rhs edit that turns a
+// row's starting slack into an artificial column, and for a warm basis that
+// is not the retained one. Each refused solve equals a fresh one.
+TEST(SolverReuse, RefusedWhenTheMatrixOrTheBasisChanged) {
+  // An appended cut row.
+  {
+    const Torus torus(3);
+    SymmetricDesignConfig cfg;
+    cfg.worst_case_exact_block = false;
+    SymmetricArcDesign design(torus, cfg);
+    Rng rng(77);
+    design.add_cut(rng.permutation(torus.num_nodes()));
+    const DesignResult first = design.solve();
+    ASSERT_EQ(first.status, Status::Optimal);
+    design.add_cut(rng.permutation(torus.num_nodes()));
+    const std::int64_t reuses0 = counter("lp.simplex.factor_reuses");
+    const Solution fresh = solve(design.model(), {}, &first.basis, &design.flow_crash_hints());
+    expect_design_matches(design.solve({}, &first.basis), fresh, "after add_cut");
+    EXPECT_EQ(counter("lp.simplex.factor_reuses"), reuses0) << "after add_cut";
+  }
+
+  // min x + y  s.t.  x + y >= b,  x - y <= 3,  0 <= x, y <= 10. With b <= 0
+  // the GE row starts on its slack; with b > 0 it needs an artificial.
+  Model m;
+  const int x = m.add_col(0, 10, 1);
+  const int y = m.add_col(0, 10, 1);
+  m.add_row(RowType::GE, -1, {{x, 1.0}, {y, 1.0}});
+  m.add_row(RowType::LE, 3, {{x, 1.0}, {y, -1.0}});
+  Solver solver;
+  const Solution at_minus1 = solver.solve(m);
+  ASSERT_EQ(at_minus1.status, Status::Optimal);
+
+  m.set_rhs(0, -0.5);  // same layout: the LU carries over
+  std::int64_t reuses0 = counter("lp.simplex.factor_reuses");
+  const Solution kept = solver.solve(m, {}, &at_minus1.basis);
+  expect_same_solution(kept, solve(m, {}, &at_minus1.basis), "layout kept");
+  EXPECT_EQ(counter("lp.simplex.factor_reuses") - reuses0, 1) << "layout kept";
+
+  m.set_rhs(0, 2.0);  // the slack start flips to an artificial
+  reuses0 = counter("lp.simplex.factor_reuses");
+  const Solution flipped = solver.solve(m, {}, &kept.basis);
+  ASSERT_EQ(flipped.status, Status::Optimal);
+  EXPECT_NEAR(flipped.objective, 2.0, 1e-9);
+  expect_same_solution(flipped, solve(m, {}, &kept.basis), "layout flipped");
+  EXPECT_EQ(counter("lp.simplex.factor_reuses"), reuses0) << "layout flipped";
+
+  // A warm basis from elsewhere, e.g. a checkpoint journal.
+  const Torus torus(4);
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.locality_equals = 1.3 * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  const DesignResult retained = design.solve();
+  ASSERT_EQ(retained.status, Status::Optimal);
+  Model other = design.model();
+  design.set_locality_bound(1.9 * hmin);
+  for (int r = 0; r < other.num_rows(); ++r) other.set_rhs(r, design.model().rhs(r));
+  const Solution foreign = solve(other);
+  ASSERT_EQ(foreign.status, Status::Optimal);
+  ASSERT_NE(foreign.basis.basic, retained.basis.basic);
+  design.set_locality_bound(1.6 * hmin);
+  reuses0 = counter("lp.simplex.factor_reuses");
+  const Solution fresh = solve(design.model(), {}, &foreign.basis, &design.flow_crash_hints());
+  expect_design_matches(design.solve({}, &foreign.basis), fresh, "foreign basis");
+  EXPECT_EQ(counter("lp.simplex.factor_reuses"), reuses0) << "foreign basis";
 }
 
 }  // namespace

@@ -276,6 +276,48 @@ TEST(PerfHistory, GoogleBenchmarkIngestTakesMinAcrossRepetitions) {
   EXPECT_DOUBLE_EQ(entries[0].quantities.at("perf.cpu_ns"), 110.0);
 }
 
+TEST(PerfHistory, PerfbenchIngestReadsWorkloadSeedTraceAndMetrics) {
+  const std::string untraced =
+      "workload sweep seed 7: 12 requests (3 per round) in 20.95 s wall, 0 failed\n"
+      "digest c7dadbaf84365639 over the first 3 requests\n"
+      "sweep_p50_s 1.06747 s\n"
+      "{\"correct\": true, \"attempted\": 12, \"failed\": 0, \"metrics\": "
+      "{\"request_p50_s\": {\"value\": 1.067472736, \"unit\": \"s\"}, "
+      "\"peak_rss_mb\": {\"value\": 9.78125, \"unit\": \"MiB\"}}}\n";
+  HistoryEntry e;
+  std::string error;
+  ASSERT_TRUE(entry_from_perfbench(untraced, &e, &error)) << error;
+  EXPECT_EQ(e.bench, "perfbench");
+  EXPECT_EQ(e.config, "seed=7,trace=0,workload=sweep");
+  ASSERT_EQ(e.quantities.size(), 2u);
+  EXPECT_DOUBLE_EQ(e.quantities.at("request_p50_s"), 1.067472736);
+  EXPECT_DOUBLE_EQ(e.quantities.at("peak_rss_mb"), 9.78125);
+  ASSERT_NE(e.provenance.find("digest"), nullptr);
+  EXPECT_EQ(e.provenance.find("digest")->as_string(), "c7dadbaf84365639");
+  EXPECT_TRUE(e.provenance.find("correct")->as_bool());
+  EXPECT_NE(e.provenance.find("compiler"), nullptr);
+
+  const std::string traced =
+      "workload design seed 1: 50 requests (10 per round) in 9.1 s wall, 0 failed\n"
+      "digest 876cb491f1840069 over the first 10 requests\n"
+      "{\"correct\": false, \"attempted\": 50, \"failed\": 1, \"metrics\": "
+      "{\"lin.refactorizations\": {\"value\": 42.5, \"unit\": \"count\"}}}\n";
+  ASSERT_TRUE(entry_from_perfbench(traced, &e, &error)) << error;
+  EXPECT_EQ(e.config, "seed=1,trace=1,workload=design");
+  EXPECT_DOUBLE_EQ(e.quantities.at("lin.refactorizations"), 42.5);
+  EXPECT_FALSE(e.provenance.find("correct")->as_bool());
+
+  // Each missing piece is named.
+  EXPECT_FALSE(entry_from_perfbench("digest 1\n{\"metrics\": {}}\n", &e, &error));
+  EXPECT_NE(error.find("workload"), std::string::npos) << error;
+  EXPECT_FALSE(entry_from_perfbench(
+      "workload sweep seed 1: x\n{\"metrics\": {\"a\": {\"value\": 1}}}\n", &e, &error));
+  EXPECT_NE(error.find("digest"), std::string::npos) << error;
+  EXPECT_FALSE(entry_from_perfbench("workload sweep seed 1: x\ndigest 1\nrun.py: failed\n", &e,
+                                    &error));
+  EXPECT_NE(error.find("result"), std::string::npos) << error;
+}
+
 TEST(PerfHistory, MedianOfRepeatsShrugsOffOneOutlier) {
   std::vector<HistoryEntry> entries(3);
   const double values[] = {10.0, 1000.0, 11.0};  // one descheduled repeat

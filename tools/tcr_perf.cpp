@@ -4,6 +4,7 @@
 //
 //   tcr-perf append --history H.json --commit abc123 run1.json run2.json
 //   tcr-perf append --history H.json --commit abc123 --google-benchmark m.json
+//   tcr-perf append --history H.json --commit abc123 --perfbench out.txt ...
 //   tcr-perf report --history H.json [--out PERF.md]
 //   tcr-perf gate --history H.json               # newest commit vs previous
 //   tcr-perf gate --history H.json --against abc123
@@ -14,6 +15,11 @@
 // history entry keyed by (bench, config, commit) and appends it to the
 // store; repeats of the same key are separate entries and every consumer
 // takes per-quantity medians, so regression detection is noise-aware.
+// --perfbench (repeatable) ingests the saved standard output of one
+// `python3 perfbench/run.py` run: workload, seed, trace flag, every metric
+// of its result line, and the digest (perf::entry_from_perfbench). The gate
+// reads every quantity as lower-is-better, so these entries chart the
+// trajectory; perfbench's own A/B rules judge them.
 // gate compares the newest commit's medians against a baseline — the
 // previous distinct commit in the store by default, a pinned commit with
 // --against, or a checked-in baseline file with --baseline — and prints one
@@ -51,7 +57,7 @@ using namespace tcr;
 int usage() {
   std::cerr
       << "usage: tcr-perf append --history FILE --commit SHA [--google-benchmark FILE]\n"
-         "                [run.json ...]\n"
+         "                [--perfbench FILE ...] [run.json ...]\n"
          "       tcr-perf report --history FILE [--out FILE]\n"
          "       tcr-perf gate --history FILE [--against COMMIT | --baseline FILE]\n"
          "                [--threshold QUANTITY=RATIO ...]\n"
@@ -95,8 +101,11 @@ std::vector<perf::KeyStats> stats_for_commit(const std::vector<perf::HistoryEntr
 }
 
 int run_append(const std::string& history_path, const std::string& commit,
-               const std::string& google_benchmark, const std::vector<std::string>& runs) {
-  if (history_path.empty() || (runs.empty() && google_benchmark.empty())) return usage();
+               const std::string& google_benchmark, const std::vector<std::string>& perfbench,
+               const std::vector<std::string>& runs) {
+  if (history_path.empty() || (runs.empty() && google_benchmark.empty() && perfbench.empty())) {
+    return usage();
+  }
   std::vector<perf::HistoryEntry> entries;
   std::string error;
   for (const std::string& path : runs) {
@@ -122,6 +131,17 @@ int run_append(const std::string& history_path, const std::string& commit,
       std::cerr << "error: " << google_benchmark << ": " << error << "\n";
       return 3;
     }
+  }
+  for (const std::string& path : perfbench) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    perf::HistoryEntry e;
+    if (!in || !perf::entry_from_perfbench(text.str(), &e, &error)) {
+      std::cerr << "error: " << path << ": " << (in ? error : "cannot read") << "\n";
+      return 3;
+    }
+    entries.push_back(std::move(e));
   }
   const std::int64_t now = static_cast<std::int64_t>(std::time(nullptr));
   for (perf::HistoryEntry& e : entries) {
@@ -277,7 +297,7 @@ int main(int argc, char** argv) {
   // Hand-rolled parsing like tcr-trace: subcommand + flags + positional run
   // files, which tcr::Cli (flag-only) would silently drop.
   std::string history, commit, google_benchmark, against, baseline, out;
-  std::vector<std::string> runs;
+  std::vector<std::string> runs, perfbench;
   perf::GatePolicy policy;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -293,6 +313,9 @@ int main(int argc, char** argv) {
       if (!value(&commit)) return usage();
     } else if (arg == "--google-benchmark") {
       if (!value(&google_benchmark)) return usage();
+    } else if (arg == "--perfbench") {
+      if (!value(&v)) return usage();
+      perfbench.push_back(v);
     } else if (arg == "--against") {
       if (!value(&against)) return usage();
     } else if (arg == "--baseline") {
@@ -315,7 +338,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (command == "append") return run_append(history, commit, google_benchmark, runs);
+  if (command == "append") return run_append(history, commit, google_benchmark, perfbench, runs);
   if (command == "report") return run_report(history, out);
   if (command == "gate") {
     if (!against.empty() && !baseline.empty()) {
